@@ -37,7 +37,8 @@ MODEL_KINDS = ("unitary", "site-dephasing", "energy-dephasing", "custom")
 
 
 def _hermitize(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.conj().T)
+    """Hermitian part of one matrix or of a stack of them (last two axes)."""
+    return 0.5 * (x + x.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -248,8 +249,11 @@ class Propagator:
     Chooses the cheapest exact route per model: spectral ``e^{-iLt}`` for
     unitary walks, the eigenspace closed form for energy dephasing, and
     the dense superoperator exponential for site dephasing and custom
-    jump sets. Precomputed factorizations are reused across time points,
-    which is what makes quadrature sweeps cheap.
+    jump sets. Precomputed factorizations are reused across time points.
+    It evolves one matrix per call, which is what single-time quantities
+    such as ``dqc`` use; K(s, t) sweeps batch every s sample instead, in
+    the Laplacian eigenbasis for unitary and energy-dephasing walks and
+    through :attr:`generator` otherwise (see ``nonclassicality``).
     """
 
     def __init__(self, graph: Graph, model: EvolutionModel):

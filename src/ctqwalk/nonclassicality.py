@@ -16,9 +16,15 @@ evaluated through the equivalent difference form
 
     K(s, t) = (1/2) sum_x | Tr[ Pi_x e^{L(t-s)} (rho(s) - Delta rho(s)) ] |,
 
-which needs one forward propagation, one site dephasing, and one
-propagation of the difference per s sample. ``kbar`` averages K(s, t)
-uniformly over s in [0, t] with composite Simpson quadrature.
+which needs a forward propagation, a site dephasing, and a propagation
+of the difference per s sample. Sweeps evaluate every s sample of one
+final time t together, on one of three routes: unitary and
+energy-dephasing walks act elementwise in the Laplacian eigenbasis, so
+the whole profile is one batched eigenbasis computation; site dephasing
+and custom jump sets use the superoperator's eigendecomposition or,
+where that is near-defective, one Pade exponential step per grid
+interval. ``kbar`` averages K(s, t) uniformly over s in [0, t] with
+composite Simpson quadrature.
 
 The single-time benchmark ``dqc`` is one minus the best quantum fidelity
 between the walker's state and the diagonal state of the classical random
@@ -37,6 +43,7 @@ from .dynamics import (
     DensityMatrix,
     EvolutionModel,
     Propagator,
+    _hermitize,
     classical_propagate,
     localized_state,
     make_generator,
@@ -58,15 +65,12 @@ def _real_probability(value: complex, what: str = "probability") -> float:
     return float(min(max(value.real, 0.0), 1.0))
 
 
-def _k_from_diagonal(diag: np.ndarray) -> float:
+def _k_from_diagonal(diag: np.ndarray) -> np.ndarray:
+    """K from measured diagonals of shape (..., n): half their l1 norm, in [0, 1]."""
     bad = np.abs(diag.imag).max()
     if bad > IMAG_TOL:
         raise ArithmeticError(f"measured diagonal has imaginary part {bad:.3e}")
-    return float(min(max(0.5 * np.abs(diag.real).sum(), 0.0), 1.0))
-
-
-def _hermitize(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.conj().T)
+    return np.clip(0.5 * np.abs(diag.real).sum(axis=-1), 0.0, 1.0)
 
 
 def _simpson_weights(m: int) -> np.ndarray:
@@ -148,7 +152,7 @@ def kolmogorov_k(generator: Superoperator, rho0: DensityMatrix,
     rho_s = _hermitize(generator.expm_apply(s, rho0.matrix))
     delta = rho_s - np.diag(np.diagonal(rho_s))
     out = generator.expm_apply(t - s, delta)
-    return _k_from_diagonal(np.diagonal(out))
+    return float(_k_from_diagonal(np.diagonal(out)))
 
 
 def _k_profile_superop(generator: Superoperator, rho0_mat: np.ndarray,
@@ -163,10 +167,7 @@ def _k_profile_superop(generator: Superoperator, rho0_mat: np.ndarray,
         y[di, :] = 0.0  # vec(rho(s) - Delta rho(s))
         z = (vinv @ y) * np.exp(np.outer(w, t - s_values))
         r = v[di, :] @ z  # diagonal of e^{L(t-s)}[delta(s)] per column
-        bad = np.abs(r.imag).max()
-        if bad > IMAG_TOL:
-            raise ArithmeticError(f"measured diagonal has imaginary part {bad:.3e}")
-        return np.clip(0.5 * np.abs(r.real).sum(axis=0), 0.0, 1.0)
+        return _k_from_diagonal(r.T)
 
     # Near-defective generator: diagonalization untrustworthy. Walk the
     # uniform grid with one Pade exponential per step, propagating the
@@ -184,24 +185,57 @@ def _k_profile_superop(generator: Superoperator, rho0_mat: np.ndarray,
     duals = [np.eye(n * n, dtype=np.complex128)[:, di]]
     for _ in range(1, m):
         duals.append(step.conj().T @ duals[-1])
-    out = np.empty(m)
+    states[di, :] = 0.0  # vec(rho(s) - Delta rho(s))
+    diags = np.empty((m, n), dtype=np.complex128)
     for i in range(m):
-        delta = states[:, i].copy()
-        delta[di] = 0.0
-        out[i] = _k_from_diagonal(duals[m - 1 - i].conj().T @ delta)
-    return out
+        diags[i] = duals[m - 1 - i].conj().T @ states[:, i]
+    return _k_from_diagonal(diags)
+
+
+def _eigen_phases(lam: np.ndarray, rates: np.ndarray | None,
+                  tau: np.ndarray) -> np.ndarray:
+    """Eigenbasis factors ``exp((-i(l_a - l_b) - rates_ab) tau)``, shape (len(tau), n, n).
+
+    The oscillating part is the rank-one product of ``e^{-i l tau}`` and its
+    conjugate, so only the real damping (absent when ``rates`` is None)
+    needs an exponential per matrix entry.
+    """
+    e = np.exp(-1j * np.multiply.outer(tau, lam))
+    phase = e[:, :, None] * e.conj()[:, None, :]
+    if rates is not None:
+        phase *= np.exp(-np.multiply.outer(tau, rates))
+    return phase
+
+
+def _k_profile_eigen(spec: SpectralDecomposition, gamma: float, rho0_mat: np.ndarray,
+                     s_values: np.ndarray, t: float) -> np.ndarray:
+    """K(s, t) for every s under unitary (gamma = 0) or energy dephasing.
+
+    In the Laplacian eigenbasis both models act elementwise,
+    ``X_ab -> X_ab exp((-i(l_a - l_b) - (gamma/2)(l_a - l_b)^2) tau)``, so
+    the whole profile is a handful of (len(s_values), n, n) batched
+    products. Each eigenvalue takes its group's representative value: the
+    factor is then constant on every degenerate block, and the result
+    depends on the group projectors only, as in
+    ``propagate_energy_closed_form``.
+    """
+    u = spec.eigenvectors
+    uh = u.conj().T
+    lam = np.repeat(spec.group_eigenvalues(), [len(g) for g in spec.groups])
+    rates = None if gamma == 0 else 0.5 * gamma * np.subtract.outer(lam, lam) ** 2
+    rho_s = _hermitize(u @ ((uh @ rho0_mat @ u) * _eigen_phases(lam, rates, s_values)) @ uh)
+    sites = np.arange(len(lam))
+    rho_s[:, sites, sites] = 0.0  # rho(s) - Delta rho(s)
+    evolved = (uh @ rho_s @ u) * _eigen_phases(lam, rates, t - s_values)
+    return _k_from_diagonal(np.einsum("kxj,xj->kx", u @ evolved, u.conj()))
 
 
 def _k_profile(prop: Propagator, rho0_mat: np.ndarray,
                s_values: np.ndarray, t: float) -> np.ndarray:
-    """Model-dispatched K profile; n-space routes avoid the superoperator."""
+    """K(s, t) for every s in ``s_values``, on the model's route."""
     if prop.model.kind in ("unitary", "energy-dephasing"):
-        out = np.empty(len(s_values))
-        for i, s in enumerate(s_values):
-            rho_s = _hermitize(prop.evolve_matrix(rho0_mat, s))
-            delta = rho_s - np.diag(np.diagonal(rho_s))
-            out[i] = _k_from_diagonal(np.diagonal(prop.evolve_matrix(delta, t - s)))
-        return out
+        # dqc stays on evolve_matrix: its sqrt of near-zero eigenvalues magnifies re-rounding
+        return _k_profile_eigen(prop.graph.spectrum, prop.model.gamma, rho0_mat, s_values, t)
     return _k_profile_superop(prop.generator, rho0_mat, s_values, t)
 
 
@@ -257,8 +291,11 @@ def kbar_curve(graph: Graph, model: EvolutionModel, node: int,
         return min(max(integral / t, 0.0), 1.0)
 
     if threads > 1 and len(t_arr) > 1:
+        # fill the shared caches before the workers read them
         if prop.model.kind in ("site-dephasing", "custom"):
-            prop.generator.spectral_factors()  # materialize shared cache up front
+            prop.generator.spectral_factors()
+        else:
+            prop.graph.spectrum
         with ThreadPoolExecutor(max_workers=threads) as pool:
             values = np.fromiter(pool.map(one, t_arr), dtype=np.float64,
                                  count=len(t_arr))

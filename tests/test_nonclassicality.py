@@ -222,24 +222,39 @@ def test_kbar_curve_matches_pointwise_kbar():
 
 
 def test_kbar_curve_threads_deterministic():
-    g = build_graph("cycle", 5)
-    model = EvolutionModel.site_dephasing(1.0)
     times = np.linspace(0.2, 3.0, 12)
-    serial = kbar_curve(g, model, 0, times, threads=1)
-    pooled = kbar_curve(g, model, 0, times, threads=4)
-    assert np.array_equal(serial.values, pooled.values)
+    for model in (EvolutionModel.site_dephasing(1.0), EvolutionModel.unitary(),
+                  EvolutionModel.energy_dephasing(0.7)):
+        # a fresh graph per call, so the pooled run starts with nothing cached
+        serial = kbar_curve(build_graph("cycle", 5), model, 0, times, threads=1)
+        pooled = kbar_curve(build_graph("cycle", 5), model, 0, times, threads=4)
+        assert np.array_equal(serial.values, pooled.values), model.kind
 
 
 def test_kbar_curve_model_routes_agree():
-    # n-space routes (unitary, energy closed form) vs superoperator route
-    g = build_graph("cycle", 4)
+    # n-space eigenbasis kernel vs superoperator route, K and kbar
+    irregular = np.zeros((6, 6), dtype=int)
+    for j, k in ((0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)):
+        irregular[j, k] = irregular[k, j] = 1
+    cases = [
+        (build_graph("cycle", 4), 0),
+        (build_graph("complete", 6), 0),  # 5-fold degenerate eigenvalue group
+        (build_graph("path", 5), 0),      # nondegenerate spectrum
+        (build_graph("path", 5), 2),
+        (build_graph("custom", adjacency=irregular), 0),
+        (build_graph("custom", adjacency=irregular), 5),
+    ]
     times = [0.4, 1.1, 2.3]
-    for model in (EvolutionModel.unitary(), EvolutionModel.energy_dephasing(0.6)):
-        gen = make_generator(g, model)
-        rho0 = localized_state(g, 0)
-        curve = kbar_curve(g, model, 0, times)
-        for t, v in zip(curve.times, curve.values):
-            assert abs(v - kbar(gen, rho0, t)) < 1e-10
+    for g, node in cases:
+        for model in (EvolutionModel.unitary(), EvolutionModel.energy_dephasing(0.6)):
+            gen = make_generator(g, model)
+            rho0 = localized_state(g, node)
+            curve = kbar_curve(g, model, node, times)
+            for t, v in zip(curve.times, curve.values):
+                assert abs(v - kbar(gen, rho0, t)) < 1e-10
+            s_vals, k_vals = k_slice(g, model, node, 1.7, 12)
+            for s, k in zip(s_vals, k_vals):
+                assert abs(k - kolmogorov_k(gen, rho0, s, 1.7)) < 1e-10
 
 
 def test_k_slice_profile():
