@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .dynamics import EvolutionModel, make_generator, spectral_gap
 from .graphs import Graph, build_graph, graph_from_edge_list
+from .linalg import SuperoperatorSizeError
 from .nonclassicality import (
     asymptotic_kbar_energy,
     dqc_curve,
@@ -49,7 +50,8 @@ _DEFAULTS = {
 
 
 class CliError(Exception):
-    """Invalid configuration; reported as a usage error (exit code 2)."""
+    """Invalid configuration; reported as a usage error (exit code 2), as is
+    a graph too large for the superoperator the model needs."""
 
 
 @dataclass(frozen=True)
@@ -323,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
             print("\n".join(cmd_asymptote(config)))
         elif config.command == "gap":
             print("\n".join(cmd_gap(config)))
-    except CliError as exc:
+    except (CliError, SuperoperatorSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2

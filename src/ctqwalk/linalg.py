@@ -1,12 +1,16 @@
 """Dense complex-matrix kernels.
 
 Everything here works on plain ``numpy.ndarray`` matrices at desk scale
-(Hilbert dimension <= 16, superoperators <= 256x256), so dense LAPACK
-routines are used throughout; there is no sparse or iterative machinery.
+(superoperators for at most ``MAX_SUPEROPERATOR_DIM`` = 32 sites, i.e. up
+to 1024x1024), so dense LAPACK routines are used throughout; there is no
+sparse or iterative machinery.
 
 Vectorization convention (shared by every module): column stacking,
 ``vec(X) = X.flatten(order="F")``, under which the map ``rho -> A rho B``
-has matrix ``kron(B.T, A)``.
+has matrix ``kron(B.T, A)``. Hermitian matrices also have real
+coordinates ``r`` with ``vec(X) = T r`` for the unitary ``T`` of
+:func:`hermitian_basis`; a map that preserves Hermiticity is a real
+matrix in them (:attr:`Superoperator.real_form`).
 """
 from __future__ import annotations
 
@@ -20,6 +24,18 @@ _HERMITICITY_TOL = 1e-12
 #: eigenvalues of a PSD matrix may dip this far below zero from float drift
 PSD_TOL = 1e-10
 
+#: probabilities and real forms may carry at most this much imaginary noise;
+#: beyond it is an error
+IMAG_TOL = 1e-9
+
+#: largest Hilbert dimension given a superoperator: n = 32 is a 1024^2
+#: complex matrix (16 MiB), and every factorization of it is O(n^6)
+MAX_SUPEROPERATOR_DIM = 32
+
+
+class SuperoperatorSizeError(ValueError):
+    """Hilbert dimension above :data:`MAX_SUPEROPERATOR_DIM`."""
+
 
 def vec(matrix: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
@@ -29,6 +45,42 @@ def vec(matrix: np.ndarray) -> np.ndarray:
 def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
     return np.asarray(vector).reshape((dim, dim), order="F")
+
+
+def _hermitian_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """vec positions of the diagonal, and of the (x, y) and (y, x) entries for x < y."""
+    x, y = np.triu_indices(dim, 1)
+    return np.arange(dim) * (dim + 1), x + dim * y, y + dim * x
+
+
+def hermitian_basis(dim: int) -> np.ndarray:
+    """Unitary ``T`` with ``vec(X) = T r`` and ``r`` real for every Hermitian X.
+
+    Columns: the ``dim`` diagonal units ``E_xx`` first, then for each
+    x < y the pair ``(E_xy + E_yx)/sqrt2`` and ``i(E_xy - E_yx)/sqrt2``.
+    """
+    diag, xy, yx = _hermitian_pairs(dim)
+    t = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    t[diag, np.arange(dim)] = 1.0
+    re = dim + 2 * np.arange(len(xy))
+    t[xy, re] = t[yx, re] = np.sqrt(0.5)
+    t[xy, re + 1] = 1j * np.sqrt(0.5)
+    t[yx, re + 1] = -1j * np.sqrt(0.5)
+    return t
+
+
+def hermitian_coords(matrix: np.ndarray) -> np.ndarray:
+    """Real ``r`` with ``vec(X) = hermitian_basis(n) @ r`` for a Hermitian X:
+    the diagonal, then sqrt2-scaled (Re, Im) of each entry above it."""
+    dim = np.shape(matrix)[0]
+    v = vec(matrix)
+    diag, xy, _ = _hermitian_pairs(dim)
+    upper = np.sqrt(2.0) * v[xy]
+    r = np.empty(dim * dim)
+    r[:dim] = v[diag].real
+    r[dim::2] = upper.real
+    r[dim + 1::2] = upper.imag
+    return r
 
 
 def _check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -132,7 +184,11 @@ class Superoperator:
     of its matrix the first time a semigroup action ``e^{Lt}`` is needed;
     if the matrix is too close to defective for the factorization to be
     trustworthy (reconstruction residual above ~1e-12 relative), actions
-    fall back to dense Pade exponentials per time point.
+    fall back to a dense Pade exponential, of which only the one for the
+    last time asked is kept (``dqc`` asks for every start node at one time
+    in a row). :attr:`real_form` is the same map as a real matrix in the
+    Hermitian coordinates of :func:`hermitian_basis`, built once on first
+    use; K(s, t) profiles on near-defective generators step in it.
     """
 
     def __init__(self, dim: int, matrix: np.ndarray):
@@ -147,7 +203,7 @@ class Superoperator:
         matrix.flags.writeable = False
         self.dim = int(dim)
         self.matrix = matrix
-        self._expm_cache: dict[float, np.ndarray] = {}
+        self._expm_last: tuple[float, np.ndarray] | None = None
 
     def __repr__(self) -> str:
         return f"Superoperator(dim={self.dim})"
@@ -174,16 +230,33 @@ class Superoperator:
     def spectral_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         return self._spectral
 
+    @cached_property
+    def real_form(self) -> np.ndarray:
+        """Real ``T^H M T`` for ``T = hermitian_basis(dim)``.
+
+        Raises ArithmeticError if its imaginary part exceeds ``IMAG_TOL``
+        relative to its scale: then the map does not preserve Hermiticity.
+        """
+        t = hermitian_basis(self.dim)
+        m = t.conj().T @ self.matrix @ t
+        bad = np.abs(m.imag).max()
+        if bad > IMAG_TOL * max(1.0, np.abs(m).max()):
+            raise ArithmeticError(
+                f"superoperator does not preserve Hermiticity (imaginary part {bad:.3e})")
+        out = np.ascontiguousarray(m.real)
+        out.flags.writeable = False
+        return out
+
     def apply(self, matrix: np.ndarray) -> np.ndarray:
         """Apply the map itself (not its exponential) to an n x n matrix."""
         return unvec(self.matrix @ vec(matrix), self.dim)
 
     def _expm_matrix(self, t: float) -> np.ndarray:
-        cached = self._expm_cache.get(t)
-        if cached is None:
-            cached = scipy.linalg.expm(self.matrix * t)
-            self._expm_cache[t] = cached
-        return cached
+        last = self._expm_last
+        if last is None or last[0] != t:
+            last = (t, scipy.linalg.expm(self.matrix * t))
+            self._expm_last = last
+        return last[1]
 
     def expm_apply(self, t: float, matrix: np.ndarray) -> np.ndarray:
         """Apply ``e^{Lt}`` to an n x n matrix."""
@@ -214,6 +287,10 @@ def vectorize_lindblad(h: np.ndarray,
     """
     h = _check_hermitian(h, "Hamiltonian")
     n = h.shape[0]
+    if n > MAX_SUPEROPERATOR_DIM:
+        raise SuperoperatorSizeError(
+            f"superoperator for {n} sites would be {n*n}x{n*n}; "
+            f"the limit is {MAX_SUPEROPERATOR_DIM} sites")
     eye = np.eye(n)
     m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for rate, g in jumps:

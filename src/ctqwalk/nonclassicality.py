@@ -18,13 +18,21 @@ evaluated through the equivalent difference form
 
 which needs a forward propagation, a site dephasing, and a propagation
 of the difference per s sample. Sweeps evaluate every s sample of one
-final time t together, on one of three routes: unitary and
-energy-dephasing walks act elementwise in the Laplacian eigenbasis, so
-the whole profile is one batched eigenbasis computation; site dephasing
-and custom jump sets use the superoperator's eigendecomposition or,
-where that is near-defective, one Pade exponential step per grid
-interval. ``kbar`` averages K(s, t) uniformly over s in [0, t] with
-composite Simpson quadrature.
+final time t together, on the uniform grid ``linspace(0, t, points)``,
+on one of three routes: unitary and energy-dephasing walks act
+elementwise in the Laplacian eigenbasis, so the whole profile is one
+batched eigenbasis computation; site dephasing and custom jump sets use
+the superoperator's eigendecomposition or, where that is near-defective,
+one Pade exponential step per grid interval. On both superoperator
+routes only site populations reach the second leg,
+
+    Tr[ Pi_x e^{L(t-s)} (rho(s) - Delta rho(s)) ] = p_x(t) - [G(t-s) p(s)]_x,
+
+with ``G(tau)[x, y] = <x| e^{L tau}(|y><y|) |x>`` the n x n population
+transfer matrix, so no n^2 x n^2 product is formed per s. The Pade route
+steps in the real Hermitian coordinates of ``linalg.hermitian_basis``,
+where the generator is a real matrix. ``kbar`` averages K(s, t)
+uniformly over s in [0, t] with composite Simpson quadrature.
 
 The single-time benchmark ``dqc`` is one minus the best quantum fidelity
 between the walker's state and the diagonal state of the classical random
@@ -37,6 +45,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .dynamics import (
     ClassicalDistribution,
@@ -51,10 +60,7 @@ from .dynamics import (
     spectral_gap,
 )
 from .graphs import Graph, SpectralDecomposition
-from .linalg import Superoperator, hermitian_sqrt, vec
-
-#: probabilities may carry at most this much imaginary noise; beyond it is an error
-IMAG_TOL = 1e-9
+from .linalg import IMAG_TOL, Superoperator, hermitian_coords, hermitian_sqrt, vec
 
 DEFAULT_QUAD_POINTS = 201
 
@@ -73,11 +79,14 @@ def _k_from_diagonal(diag: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * np.abs(diag.real).sum(axis=-1), 0.0, 1.0)
 
 
-def _simpson_weights(m: int) -> np.ndarray:
-    w = np.ones(m)
+def _simpson_mean(vals: np.ndarray, t: float) -> float:
+    """Composite-Simpson mean over [0, t] of samples on ``linspace(0, t, len(vals))``."""
+    q = len(vals)
+    w = np.ones(q)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w
+    integral = (t / (q - 1)) / 3.0 * np.dot(w, vals)
+    return min(max(integral / t, 0.0), 1.0)
 
 
 def _check_quad_points(quad_points: int) -> int:
@@ -156,40 +165,40 @@ def kolmogorov_k(generator: Superoperator, rho0: DensityMatrix,
 
 
 def _k_profile_superop(generator: Superoperator, rho0_mat: np.ndarray,
-                       s_values: np.ndarray, t: float) -> np.ndarray:
-    """K(s, t) for every s in ``s_values`` (ascending, within [0, t])."""
+                       t: float, points: int) -> np.ndarray:
+    """K(s, t) for every s in ``linspace(0, t, points)``.
+
+    Only site populations reach the second leg:
+    ``diag e^{L(t-s)}(rho(s) - Delta rho(s)) = p(t) - G(t-s) p(s)``, with
+    ``p`` the populations and ``G(tau)[x, y] = <x|e^{L tau}(|y><y|)|x>``.
+    """
     n = generator.dim
-    di = np.arange(n) * (n + 1)  # diagonal positions under column stacking
+    s_values = np.linspace(0.0, t, points)
     spectral = generator.spectral_factors()
     if spectral is not None:
         w, v, vinv = spectral
-        y = v @ (np.exp(np.outer(w, s_values)) * (vinv @ vec(rho0_mat))[:, None])
-        y[di, :] = 0.0  # vec(rho(s) - Delta rho(s))
-        z = (vinv @ y) * np.exp(np.outer(w, t - s_values))
-        r = v[di, :] @ z  # diagonal of e^{L(t-s)}[delta(s)] per column
-        return _k_from_diagonal(r.T)
+        di = np.arange(n) * (n + 1)  # diagonal positions under column stacking
+        vd = v[di, :]
+        # on the uniform grid t - s_k = s_{points-1-k}: e^{w(t-s)} is e^{ws} reversed
+        e = np.exp(np.outer(w, s_values))
+        a = e * (vinv @ vec(rho0_mat))[:, None]  # rho(s) in eigencoordinates
+        z = (a - vinv[:, di] @ (vd @ a)) * e[:, ::-1]  # rho(s) - Delta rho(s), moved to t
+        return _k_from_diagonal((vd @ z).T)
 
-    # Near-defective generator: diagonalization untrustworthy. Walk the
-    # uniform grid with one Pade exponential per step, propagating the
-    # site projectors backward (adjoint) so each K needs one inner product.
-    h = np.diff(s_values)
-    if not np.allclose(h, h[0], rtol=0, atol=1e-12 * max(t, 1.0)):
-        return np.array([kolmogorov_k(generator, DensityMatrix(rho0_mat), s, t)
-                         for s in s_values])
-    step = generator._expm_matrix(float(h[0]))
-    m = len(s_values)
-    states = np.empty((n * n, m), dtype=np.complex128)
-    states[:, 0] = vec(rho0_mat)
-    for i in range(1, m):
-        states[:, i] = step @ states[:, i - 1]
-    duals = [np.eye(n * n, dtype=np.complex128)[:, di]]
-    for _ in range(1, m):
-        duals.append(step.conj().T @ duals[-1])
-    states[di, :] = 0.0  # vec(rho(s) - Delta rho(s))
-    diags = np.empty((m, n), dtype=np.complex128)
-    for i in range(m):
-        diags[i] = duals[m - 1 - i].conj().T @ states[:, i]
-    return _k_from_diagonal(diags)
+    # Near-defective generator: diagonalization untrustworthy. Step along
+    # the grid with one Pade exponential in real Hermitian coordinates,
+    # carrying the n site projectors (columns of G) and rho0 (for p).
+    step = scipy.linalg.expm(generator.real_form * (t / (points - 1)))
+    b = np.zeros((n * n, n + 1))
+    b[:n, :n] = np.eye(n)
+    b[:, n] = hermitian_coords(rho0_mat)
+    top = np.empty((points, n, n + 1))  # [G(s_k) | p(s_k)]
+    top[0] = b[:n]
+    for k in range(1, points):
+        b = step @ b
+        top[k] = b[:n]
+    g, p = top[:, :, :n], top[:, :, n]
+    return _k_from_diagonal(p[-1] - np.einsum("kxy,ky->kx", g[::-1], p))
 
 
 def _eigen_phases(lam: np.ndarray, rates: np.ndarray | None,
@@ -208,7 +217,7 @@ def _eigen_phases(lam: np.ndarray, rates: np.ndarray | None,
 
 
 def _k_profile_eigen(spec: SpectralDecomposition, gamma: float, rho0_mat: np.ndarray,
-                     s_values: np.ndarray, t: float) -> np.ndarray:
+                     t: float, points: int) -> np.ndarray:
     """K(s, t) for every s under unitary (gamma = 0) or energy dephasing.
 
     In the Laplacian eigenbasis both models act elementwise,
@@ -219,6 +228,7 @@ def _k_profile_eigen(spec: SpectralDecomposition, gamma: float, rho0_mat: np.nda
     depends on the group projectors only, as in
     ``propagate_energy_closed_form``.
     """
+    s_values = np.linspace(0.0, t, points)
     u = spec.eigenvectors
     uh = u.conj().T
     lam = np.repeat(spec.group_eigenvalues(), [len(g) for g in spec.groups])
@@ -231,12 +241,12 @@ def _k_profile_eigen(spec: SpectralDecomposition, gamma: float, rho0_mat: np.nda
 
 
 def _k_profile(prop: Propagator, rho0_mat: np.ndarray,
-               s_values: np.ndarray, t: float) -> np.ndarray:
-    """K(s, t) for every s in ``s_values``, on the model's route."""
+               t: float, points: int) -> np.ndarray:
+    """K(s, t) for every s in ``linspace(0, t, points)``, on the model's route."""
     if prop.model.kind in ("unitary", "energy-dephasing"):
         # dqc stays on evolve_matrix: its sqrt of near-zero eigenvalues magnifies re-rounding
-        return _k_profile_eigen(prop.graph.spectrum, prop.model.gamma, rho0_mat, s_values, t)
-    return _k_profile_superop(prop.generator, rho0_mat, s_values, t)
+        return _k_profile_eigen(prop.graph.spectrum, prop.model.gamma, rho0_mat, t, points)
+    return _k_profile_superop(prop.generator, rho0_mat, t, points)
 
 
 def kbar(generator: Superoperator, rho0: DensityMatrix, t: float,
@@ -245,10 +255,7 @@ def kbar(generator: Superoperator, rho0: DensityMatrix, t: float,
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     q = _check_quad_points(quad_points)
-    s_values = np.linspace(0.0, t, q)
-    vals = _k_profile_superop(generator, rho0.matrix, s_values, t)
-    integral = (t / (q - 1)) / 3.0 * np.dot(_simpson_weights(q), vals)
-    return float(min(max(integral / t, 0.0), 1.0))
+    return float(_simpson_mean(_k_profile_superop(generator, rho0.matrix, t, q), t))
 
 
 @dataclass(frozen=True)
@@ -283,17 +290,15 @@ def kbar_curve(graph: Graph, model: EvolutionModel, node: int,
     t_arr = np.asarray(list(times), dtype=np.float64)
     if np.any(t_arr <= 0):
         raise ValueError("all grid times must be positive")
-    weights = _simpson_weights(q)
 
     def one(t: float) -> float:
-        vals = _k_profile(prop, rho0, np.linspace(0.0, t, q), t)
-        integral = (t / (q - 1)) / 3.0 * np.dot(weights, vals)
-        return min(max(integral / t, 0.0), 1.0)
+        return _simpson_mean(_k_profile(prop, rho0, t, q), t)
 
     if threads > 1 and len(t_arr) > 1:
         # fill the shared caches before the workers read them
         if prop.model.kind in ("site-dephasing", "custom"):
-            prop.generator.spectral_factors()
+            if prop.generator.spectral_factors() is None:
+                prop.generator.real_form
         else:
             prop.graph.spectrum
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -314,8 +319,7 @@ def k_slice(graph: Graph, model: EvolutionModel, node: int, t: float,
         raise ValueError("s_points must be >= 1")
     prop = Propagator(graph, model)
     rho0 = localized_state(graph, node).matrix
-    s_values = np.linspace(0.0, t, s_points + 1)
-    return s_values, _k_profile(prop, rho0, s_values, t)
+    return np.linspace(0.0, t, s_points + 1), _k_profile(prop, rho0, t, s_points + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,18 @@ def test_invalid_flags_exit_nonzero(capsys):
     assert _run(capsys, "kbar", "--graph", "moebius", "--n", "4", "--tmax", "1")[0] == 2
 
 
+def test_superoperator_size_limit_is_a_usage_error(capsys):
+    # 33 sites would need a 1089^2 superoperator; the n-space routes need none
+    code, _, err = _run(capsys, "kbar", "--graph", "cycle", "--n", "33",
+                        "--model", "site-dephasing", "--gamma", "1", "--tmax", "1",
+                        "--steps", "1", "--quad-points", "3")
+    assert code == 2
+    assert "limit is 32 sites" in err
+    assert _run(capsys, "gap", "--graph", "cycle", "--n", "33")[0] == 2
+    assert _run(capsys, "kbar", "--graph", "cycle", "--n", "33", "--tmax", "1",
+                "--steps", "1", "--quad-points", "3", "--no-timestamp")[0] == 0
+
+
 def test_missing_edge_file_is_runtime_error(capsys):
     code, _, err = _run(capsys, "kbar", "--graph", "file:/nonexistent.edges",
                         "--tmax", "1.0")

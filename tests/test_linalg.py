@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from ctqwalk import (
@@ -15,6 +16,7 @@ from ctqwalk import (
     vec,
     vectorize_lindblad,
 )
+from ctqwalk.linalg import MAX_SUPEROPERATOR_DIM, hermitian_basis, hermitian_coords
 from conftest import random_density, random_hermitian
 
 
@@ -23,6 +25,13 @@ from conftest import random_density, random_hermitian
 def test_vec_roundtrip(rng):
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert np.array_equal(unvec(vec(m), 4), m)
+    # real Hermitian coordinates: vec(X) = T r with T unitary and r real
+    t = hermitian_basis(4)
+    assert np.abs(t.conj().T @ t - np.eye(16)).max() < 1e-15
+    h = random_hermitian(rng, 4)
+    r = hermitian_coords(h)
+    assert r.dtype == np.float64
+    assert np.abs(t @ r - vec(h)).max() < 1e-15
 
 
 def test_vec_column_stacking_convention(rng):
@@ -138,6 +147,19 @@ def test_site_dephasing_generator_spectrum_structure():
     assert (np.abs(w) < 1e-10).sum() == 1
 
 
+def test_vectorize_rejects_too_many_sites(monkeypatch):
+    n = MAX_SUPEROPERATOR_DIM + 1
+
+    def no_kron(*args):
+        raise AssertionError("built a superoperator past the size limit")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    with pytest.raises(ValueError, match="limit is 32 sites"):
+        vectorize_lindblad(np.zeros((n, n)))
+    with pytest.raises(ValueError, match="limit"):
+        make_generator(build_graph("cycle", n), EvolutionModel.site_dephasing(1.0))
+
+
 def test_vectorize_rejects_mismatched_jump():
     with pytest.raises(ValueError, match="match"):
         vectorize_lindblad(np.zeros((3, 3)), [(1.0, np.zeros((2, 2)))])
@@ -164,6 +186,13 @@ def test_superoperator_preserves_hermiticity(rng):
     rho = random_density(rng, 3)
     out = sup.expm_apply(2.1, rho)
     assert np.abs(out - out.conj().T).max() < 1e-10
+    # hence a real matrix in Hermitian coordinates, with the same semigroup
+    real = sup.real_form
+    assert real.dtype == np.float64
+    t = hermitian_basis(3)
+    assert np.abs(t @ real @ t.conj().T - sup.matrix).max() < 1e-12
+    stepped = t @ (scipy.linalg.expm(real * 2.1) @ hermitian_coords(rho))
+    assert np.abs(stepped - vec(out)).max() < 1e-12
 
 
 def test_semigroup_composition_law(rng):

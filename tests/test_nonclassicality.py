@@ -2,14 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ctqwalk import (
     DensityMatrix,
     EvolutionModel,
     MeasurementRecord,
+    Propagator,
+    Superoperator,
     asymptotic_kbar_energy,
     build_graph,
     dqc,
+    dqc_curve,
     dqc_node,
     eigenspace_overlap_matrix,
     fidelity,
@@ -154,15 +158,18 @@ def test_k_rejects_reversed_times():
         kolmogorov_k(gen, localized_state(g, 0), 1.0, 0.5)
 
 
-def test_large_imaginary_parts_are_an_error_not_a_clip(rng):
+def test_large_imaginary_parts_are_an_error_not_a_clip(rng, monkeypatch):
     # a map that does not preserve Hermiticity leaves large imaginary
     # diagonals; that must raise rather than be silently clipped
-    from ctqwalk import Superoperator
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     broken = Superoperator(2, m)
     g = build_graph("cycle", 2)
     with pytest.raises(ArithmeticError, match="imaginary"):
         kolmogorov_k(broken, localized_state(g, 0), 0.5, 1.0)
+    # the Pade branch works in real Hermitian coordinates, which such a map has not
+    monkeypatch.setattr(Superoperator, "spectral_factors", lambda self: None)
+    with pytest.raises(ArithmeticError, match="Hermiticity"):
+        kbar(broken, localized_state(g, 0), 1.0)
 
 
 # --- kbar ------------------------------------------------------------------------
@@ -231,7 +238,7 @@ def test_kbar_curve_threads_deterministic():
         assert np.array_equal(serial.values, pooled.values), model.kind
 
 
-def test_kbar_curve_model_routes_agree():
+def test_kbar_curve_model_routes_agree(rng, monkeypatch):
     # n-space eigenbasis kernel vs superoperator route, K and kbar
     irregular = np.zeros((6, 6), dtype=int)
     for j, k in ((0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)):
@@ -255,6 +262,35 @@ def test_kbar_curve_model_routes_agree():
             s_vals, k_vals = k_slice(g, model, node, 1.7, 12)
             for s, k in zip(s_vals, k_vals):
                 assert abs(k - kolmogorov_k(gen, rho0, s, 1.7)) < 1e-10
+
+    # superoperator spectral branch vs its Pade branch, forced on
+    # well-conditioned generators, vs one-s-at-a-time kolmogorov_k
+    hop = np.zeros((4, 4))
+    hop[0, 1] = 1.0  # |0><1|: not Hermitian, so the dissipator is not a dephasing
+    custom = EvolutionModel.custom([(0.8, hop), (0.3, np.diag([1.0, 0.0, 2.0, 0.0]))])
+    cases = [
+        (build_graph("cycle", 6), EvolutionModel.site_dephasing(1.0), 0),
+        (build_graph("complete", 6), EvolutionModel.site_dephasing(50.0), 0),
+        (build_graph("path", 5), EvolutionModel.site_dephasing(1.0), 2),
+        (build_graph("cycle", 4), custom, 1),
+    ]
+    for g, model, node in cases:
+        gen = make_generator(g, model)
+        assert gen.spectral_factors() is not None
+        rho0 = localized_state(g, node)
+        mixed = DensityMatrix(random_density(rng, g.n))  # complex coherences
+        s_vals, spectral = k_slice(g, model, node, 1.7, 12)
+        curve = kbar_curve(g, model, node, times)
+        with monkeypatch.context() as patched:
+            patched.setattr(Superoperator, "spectral_factors", lambda self: None)
+            pade = k_slice(g, model, node, 1.7, 12)[1]
+            pade_curve = kbar_curve(g, model, node, times)
+            pade_mixed = kbar(gen, mixed, 1.7)
+        assert np.abs(pade - spectral).max() < 1e-10
+        assert np.abs(pade_curve.values - curve.values).max() < 1e-10
+        assert abs(pade_mixed - kbar(gen, mixed, 1.7)) < 1e-10
+        for s, k in zip(s_vals, pade):
+            assert abs(k - kolmogorov_k(gen, rho0, s, 1.7)) < 1e-10
 
 
 def test_k_slice_profile():
@@ -315,6 +351,23 @@ def test_dqc_short_time_linear_in_degree(topology, n, node):
     value = dqc_node(g, EvolutionModel.unitary(), node, t)
     expected = g.degrees[node]
     assert abs(value / t - expected) < 0.01 * expected
+
+
+def test_dqc_curve_pade_route_keeps_one_exponential():
+    # cycle-2 site dephasing is exactly defective at gamma = 4, so dqc takes
+    # the Pade exponential; only the one for the latest time may be kept
+    g = build_graph("cycle", 2)
+    model = EvolutionModel.site_dephasing(4.0)
+    times = np.linspace(0.1, 2.0, 20)
+    prop = Propagator(g, model)
+    assert prop.generator.spectral_factors() is None
+    swept = [min(dqc_node(g, model, nu, t, _prop=prop) for nu in range(g.n)) for t in times]
+    cached_t, cached = prop.generator._expm_last
+    assert cached_t == times[-1]
+    assert np.array_equal(cached, scipy.linalg.expm(prop.generator.matrix * times[-1]))
+    fresh = [dqc(g, model, t) for t in times]  # a new generator per time
+    assert np.array_equal(swept, fresh)
+    assert np.array_equal(dqc_curve(g, model, times)[1], fresh)
 
 
 def test_dqc_complete_graph_tail():
