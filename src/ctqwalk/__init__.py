@@ -20,8 +20,6 @@ from .graphs import (
 )
 from .linalg import (
     Superoperator,
-    bessel_j,
-    expm,
     expm_hermitian_generator,
     hermitian_sqrt,
     unvec,
@@ -36,7 +34,6 @@ from .dynamics import (
     SpectralGap,
     classical_propagate,
     dephase_site,
-    evolve_localized,
     localized_state,
     make_generator,
     propagate,
@@ -72,8 +69,6 @@ __all__ = [
     "read_edge_list",
     "spectral_decompose",
     "Superoperator",
-    "bessel_j",
-    "expm",
     "expm_hermitian_generator",
     "hermitian_sqrt",
     "unvec",
@@ -86,7 +81,6 @@ __all__ = [
     "SpectralGap",
     "classical_propagate",
     "dephase_site",
-    "evolve_localized",
     "localized_state",
     "make_generator",
     "propagate",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -76,18 +77,18 @@ class RunConfig:
             raise CliError(f"--steps must be >= 1, got {self.steps}")
         if self.quad_points < 3 or self.quad_points % 2 == 0:
             raise CliError(f"--quad-points must be odd and >= 3, got {self.quad_points}")
-        if self.gamma < 0:
-            raise CliError(f"--gamma must be nonnegative, got {self.gamma}")
+        if not 0 <= self.gamma < math.inf:
+            raise CliError(f"--gamma must be finite and nonnegative, got {self.gamma}")
         if self.model not in _MODELS:
             raise CliError(f"--model must be one of {_MODELS}, got {self.model!r}")
         if self.threads < 1:
             raise CliError(f"--threads must be >= 1, got {self.threads}")
-        if self.command in ("kbar", "dqc") and (self.tmax is None or self.tmax <= 0):
-            raise CliError("--tmax must be positive")
+        if self.command in ("kbar", "dqc") and not 0 < (self.tmax or 0) < math.inf:
+            raise CliError(f"--tmax must be finite and positive, got {self.tmax}")
         if self.command == "kst":
-            if self.t is None or self.t <= 0:
-                raise CliError("--t must be positive for kst")
-            if self.tmax is not None and self.t > self.tmax:
+            if not 0 < (self.t or 0) < math.inf:
+                raise CliError(f"--t must be finite and positive for kst, got {self.t}")
+            if self.tmax is not None and not self.t <= self.tmax:
                 raise CliError(f"--t {self.t} exceeds --tmax {self.tmax}")
 
 

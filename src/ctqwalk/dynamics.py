@@ -26,12 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph, SpectralDecomposition
-from .linalg import Superoperator, vectorize_lindblad
-
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-#: propagated states may pick up eigenvalues this far below zero from float drift
-STATE_PSD_TOL = 1e-8
+from .linalg import (HERMITICITY_TOL, PROB_TOL, SPECTRAL_MATCH_TOL, STATE_PSD_TOL,
+                     STATIONARY_TOL, TRACE_TOL, Superoperator, _as_readonly,
+                     _check_square, vectorize_lindblad)
 
 MODEL_KINDS = ("unitary", "site-dephasing", "energy-dephasing", "custom")
 
@@ -48,9 +45,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        m = _check_square(self.matrix, "density matrix")
         defect = np.abs(m - m.conj().T).max()
         if defect > HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian (defect {defect:.3e})")
@@ -60,9 +55,7 @@ class DensityMatrix:
         lo = np.linalg.eigvalsh(m).min()
         if lo < -STATE_PSD_TOL:
             raise ValueError(f"density matrix not PSD (eigenvalue {lo:.3e})")
-        m = np.ascontiguousarray(m)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _as_readonly(m))
 
     @property
     def dim(self) -> int:
@@ -80,14 +73,14 @@ class ClassicalDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
-        if p.min() < -1e-12:
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
+        if p.min() < -PROB_TOL:
             raise ValueError(f"negative probability {p.min():.3e}")
         p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > 1e-12:
+        if abs(p.sum() - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {p.sum():.15g}, not 1")
-        p = np.ascontiguousarray(p)
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _as_readonly(p))
 
     @property
     def dim(self) -> int:
@@ -105,8 +98,8 @@ class EvolutionModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if any(rate < 0 for rate, _ in self.jumps):
             raise ValueError("jump rates must be nonnegative")
 
@@ -161,15 +154,13 @@ def propagate(generator: Superoperator, rho: DensityMatrix, t: float) -> Density
     if rho.dim != generator.dim:
         raise ValueError(
             f"state dim {rho.dim} does not match generator dim {generator.dim}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
     out = generator.expm_apply(t, rho.matrix)
     return DensityMatrix(_hermitize(out))
 
 
 def _check_spectral_match(graph: Graph, spec: SpectralDecomposition) -> None:
     recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-    if np.abs(recon - graph.laplacian).max() > 1e-8:
+    if np.abs(recon - graph.laplacian).max() > SPECTRAL_MATCH_TOL:
         raise ValueError("spectral decomposition does not match graph Laplacian")
 
 
@@ -189,16 +180,21 @@ def propagate_energy_closed_form(graph: Graph, spec: SpectralDecomposition,
     if rho0.dim != graph.n:
         raise ValueError(f"state dim {rho0.dim} does not match graph size {graph.n}")
     _check_spectral_match(graph, spec)
-    projectors = spec.projectors()
-    lam = spec.group_eigenvalues()
-    out = np.zeros((graph.n, graph.n), dtype=np.complex128)
+    out = _energy_sum(spec.projectors(), spec.group_eigenvalues(), gamma, rho0.matrix, t)
+    return DensityMatrix(_hermitize(out))
+
+
+def _energy_sum(projectors: list[np.ndarray], lam: np.ndarray, gamma: float,
+                x: np.ndarray, t: float) -> np.ndarray:
+    """``sum_{a,b} P_a x P_b exp(-i(l_a-l_b)t - (gamma/2)(l_a-l_b)^2 t)``."""
+    out = np.zeros(np.shape(x), dtype=np.complex128)
     for a, pa in enumerate(projectors):
-        left = pa @ rho0.matrix
+        left = pa @ x
         for b, pb in enumerate(projectors):
             gap = lam[a] - lam[b]
             phase = np.exp((-1j * gap - 0.5 * gamma * gap * gap) * t)
             out += phase * (left @ pb)
-    return DensityMatrix(_hermitize(out))
+    return out
 
 
 def classical_propagate(graph: Graph, node: int, t: float) -> ClassicalDistribution:
@@ -226,18 +222,16 @@ class SpectralGap(NamedTuple):
     stationary_dim: int
 
 
-def spectral_gap(generator: Superoperator, zero_tol: float = 1e-10) -> SpectralGap:
+def spectral_gap(generator: Superoperator) -> SpectralGap:
     """Magnitude of the largest nonzero real part among generator eigenvalues.
 
-    Eigenvalues with ``Re > -zero_tol`` count as stationary/oscillatory
+    Eigenvalues with ``Re > -STATIONARY_TOL`` count as stationary/oscillatory
     (their multiplicity is reported, not assumed to be 1). If no
     eigenvalue decays (unitary case) the gap is 0 with ``has_decay=False``.
     """
-    if zero_tol <= 0:
-        raise ValueError("zero_tol must be positive")
     re = generator.eigenvalues.real
-    stationary = int((re >= -zero_tol).sum())
-    decaying = re[re < -zero_tol]
+    stationary = int((re >= -STATIONARY_TOL).sum())
+    decaying = re[re < -STATIONARY_TOL]
     if decaying.size == 0:
         return SpectralGap(0.0, False, stationary)
     return SpectralGap(float(-decaying.max()), True, stationary)
@@ -282,22 +276,9 @@ class Propagator:
             return ut @ x @ ut.conj().T
         if self._energy_data is not None:
             projectors, lam = self._energy_data
-            gamma = self.model.gamma
-            out = np.zeros_like(np.asarray(x, dtype=np.complex128))
-            for a, pa in enumerate(projectors):
-                left = pa @ x
-                for b, pb in enumerate(projectors):
-                    gap = lam[a] - lam[b]
-                    phase = np.exp((-1j * gap - 0.5 * gamma * gap * gap) * t)
-                    out += phase * (left @ pb)
-            return out
+            return _energy_sum(projectors, lam, self.model.gamma, x, t)
         return self.generator.expm_apply(t, x)
 
     def density(self, rho0: DensityMatrix, t: float) -> DensityMatrix:
         return DensityMatrix(_hermitize(self.evolve_matrix(rho0.matrix, t)))
 
-
-def evolve_localized(graph: Graph, model: EvolutionModel, node: int,
-                     t: float) -> DensityMatrix:
-    """State at time t for a walker starting localized at ``node``."""
-    return Propagator(graph, model).density(localized_state(graph, node), t)

@@ -15,18 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import DEGENERACY_TOL, _as_readonly, _check_hermitian
+
 TOPOLOGIES = ("cycle", "complete", "path", "custom")
-
-#: default absolute gap below which two eigenvalues are treated as degenerate
-DEGENERACY_TOL = 1e-8
-
-_HERMITICITY_TOL = 1e-12
-
-
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -227,14 +218,7 @@ def spectral_decompose(matrix: np.ndarray,
     """
     if degeneracy_tol <= 0:
         raise ValueError("degeneracy_tol must be positive")
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    herm_defect = np.abs(m - m.conj().T).max()
-    if herm_defect > _HERMITICITY_TOL * max(1.0, np.abs(m).max()):
-        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-
-    eigenvalues, eigenvectors = np.linalg.eigh(m)
+    eigenvalues, eigenvectors = np.linalg.eigh(_check_hermitian(matrix))
 
     groups: list[tuple[int, ...]] = []
     current = [0]

@@ -1,9 +1,13 @@
-"""Dense complex-matrix kernels.
+"""Dense complex-matrix kernels, input checks and every numerical tolerance.
 
 Everything here works on plain ``numpy.ndarray`` matrices at desk scale
 (superoperators for at most ``MAX_SUPEROPERATOR_DIM`` = 32 sites, i.e. up
 to 1024x1024), so dense LAPACK routines are used throughout; there is no
 sparse or iterative machinery.
+
+This module is the one home of the package's tolerances (the constants
+below) and of its matrix input checks; the other modules import both
+from here rather than defining their own.
 
 Vectorization convention (shared by every module): column stacking,
 ``vec(X) = X.flatten(order="F")``, under which the map ``rho -> A rho B``
@@ -19,14 +23,28 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-_HERMITICITY_TOL = 1e-12
-
+# Tolerances; the ones marked relative scale with max(1, largest entry).
+#: Hermiticity defect of a generator or decomposed matrix (relative)
+HERMITICITY_RTOL = 1e-12
+#: Hermiticity defect and trace error of a density matrix
+HERMITICITY_TOL = TRACE_TOL = 1e-10
+#: propagated states may pick up eigenvalues this far below zero from float drift
+STATE_PSD_TOL = 1e-8
 #: eigenvalues of a PSD matrix may dip this far below zero from float drift
 PSD_TOL = 1e-10
-
 #: probabilities and real forms may carry at most this much imaginary noise;
 #: beyond it is an error
 IMAG_TOL = 1e-9
+#: a classical distribution may dip this far below 0, and its sum stray this far from 1
+PROB_TOL = 1e-12
+#: diagonalization residual (relative) above which a superoperator takes the Pade route
+SPECTRAL_RESIDUAL_TOL = 1e-12
+#: largest entry of ``U diag(l) U^H - L`` for a decomposition to belong to ``L``
+SPECTRAL_MATCH_TOL = 1e-8
+#: default absolute gap below which two eigenvalues are treated as degenerate
+DEGENERACY_TOL = 1e-8
+#: generator eigenvalues with real part above ``-STATIONARY_TOL`` do not decay
+STATIONARY_TOL = 1e-10
 
 #: largest Hilbert dimension given a superoperator: n = 32 is a 1024^2
 #: complex matrix (16 MiB), and every factorization of it is O(n^6)
@@ -35,6 +53,12 @@ MAX_SUPEROPERATOR_DIM = 32
 
 class SuperoperatorSizeError(ValueError):
     """Hilbert dimension above :data:`MAX_SUPEROPERATOR_DIM`."""
+
+
+def _as_readonly(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -95,23 +119,9 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 def _check_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = _check_square(a, name)
     defect = np.abs(a - a.conj().T).max()
-    if defect > _HERMITICITY_TOL * max(1.0, np.abs(a).max()):
+    if defect > HERMITICITY_RTOL * max(1.0, np.abs(a).max()):
         raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
     return a
-
-
-def expm(matrix: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a general square complex matrix.
-
-    Scaling-and-squaring with a Pade rational approximation (via
-    scipy.linalg.expm); accurate to ~1e-12 relative in norm for
-    well-conditioned inputs.
-    """
-    a = _check_square(matrix)
-    out = scipy.linalg.expm(a)
-    if not np.isfinite(out).all():
-        raise ArithmeticError("matrix exponential overflowed to non-finite values")
-    return out
 
 
 def expm_hermitian_generator(h: np.ndarray, t: float) -> np.ndarray:
@@ -125,52 +135,18 @@ def expm_hermitian_generator(h: np.ndarray, t: float) -> np.ndarray:
     return (u * np.exp(-1j * w * t)) @ u.conj().T
 
 
-def hermitian_sqrt(matrix: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
+def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root of a Hermitian PSD matrix.
 
-    Eigenvalues in ``[-psd_tol, 0)`` are clipped to zero before the root;
-    anything below ``-psd_tol`` is an error, not noise.
+    Eigenvalues in ``[-PSD_TOL, 0)`` are clipped to zero before the root;
+    anything below ``-PSD_TOL`` is an error, not noise.
     """
     m = _check_hermitian(matrix)
     w, u = np.linalg.eigh(m)
-    if w.min() < -psd_tol:
+    if w.min() < -PSD_TOL:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T
-
-
-# ---------------------------------------------------------------------------
-# Bessel function of the first kind
-# ---------------------------------------------------------------------------
-
-_BESSEL_MAX_ORDER = 64
-_BESSEL_MAX_ARG = 200.0
-# Trapezoid points for J_n(x) = (1/pi) int_0^pi cos(n th - x sin th) dth.
-# The full-period integrand is entire and 2pi-periodic, so the trapezoid
-# rule converges geometrically; aliasing only reinjects J_{m}(x) terms with
-# m >= 2M - |n|, which for M = 2048 >> e|x|/2 + |n| (|x| <= 200, |n| <= 64)
-# are far below 1e-16.
-_BESSEL_POINTS = 2048
-
-
-def bessel_j(order: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x), |n| <= 64, |x| <= 200.
-
-    Evaluated from the integral definition with a 2048-point trapezoid
-    rule (spectrally accurate for periodic integrands); absolute error
-    below 1e-12 over the supported range.
-    """
-    n = int(order)
-    if n != order:
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if abs(n) > _BESSEL_MAX_ORDER:
-        raise ValueError(f"|order| <= {_BESSEL_MAX_ORDER} required, got {n}")
-    if not np.isfinite(x) or abs(x) > _BESSEL_MAX_ARG:
-        raise ValueError(f"|x| <= {_BESSEL_MAX_ARG} required, got {x}")
-    theta = np.linspace(0.0, np.pi, _BESSEL_POINTS + 1)
-    f = np.cos(n * theta - x * np.sin(theta))
-    # trapezoid on [0, pi]; equals half the full-period rule by symmetry
-    return float((f[0] / 2 + f[1:-1].sum() + f[-1] / 2) / _BESSEL_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -183,26 +159,23 @@ class Superoperator:
     Acts on column-stacked matrices. The class caches a diagonalization
     of its matrix the first time a semigroup action ``e^{Lt}`` is needed;
     if the matrix is too close to defective for the factorization to be
-    trustworthy (reconstruction residual above ~1e-12 relative), actions
-    fall back to a dense Pade exponential, of which only the one for the
-    last time asked is kept (``dqc`` asks for every start node at one time
-    in a row). :attr:`real_form` is the same map as a real matrix in the
-    Hermitian coordinates of :func:`hermitian_basis`, built once on first
-    use; K(s, t) profiles on near-defective generators step in it.
+    trustworthy (reconstruction residual above ``SPECTRAL_RESIDUAL_TOL``
+    relative), actions fall back to a dense Pade exponential, of which
+    only the one for the last time asked is kept (``dqc`` asks for every
+    start node at one time in a row). :attr:`real_form` is the same map as
+    a real matrix in the Hermitian coordinates of :func:`hermitian_basis`,
+    built once on first use; K(s, t) profiles on near-defective generators
+    step in it.
     """
 
     def __init__(self, dim: int, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.complex128)
+        matrix = _check_square(matrix, "superoperator")
         if matrix.shape != (dim * dim, dim * dim):
             raise ValueError(
                 f"superoperator for dim {dim} must be {dim*dim}x{dim*dim}, "
                 f"got {matrix.shape}")
-        if not np.isfinite(matrix).all():
-            raise ValueError("superoperator has non-finite entries")
-        matrix = np.ascontiguousarray(matrix)
-        matrix.flags.writeable = False
         self.dim = int(dim)
-        self.matrix = matrix
+        self.matrix = _as_readonly(matrix)
         self._expm_last: tuple[float, np.ndarray] | None = None
 
     def __repr__(self) -> str:
@@ -217,7 +190,7 @@ class Superoperator:
         except np.linalg.LinAlgError:
             return None
         residual = np.abs((v * w) @ vinv - self.matrix).max()
-        if residual > 1e-12 * max(1.0, np.abs(self.matrix).max()):
+        if residual > SPECTRAL_RESIDUAL_TOL * max(1.0, np.abs(self.matrix).max()):
             return None
         return w, v, vinv
 
@@ -243,9 +216,7 @@ class Superoperator:
         if bad > IMAG_TOL * max(1.0, np.abs(m).max()):
             raise ArithmeticError(
                 f"superoperator does not preserve Hermiticity (imaginary part {bad:.3e})")
-        out = np.ascontiguousarray(m.real)
-        out.flags.writeable = False
-        return out
+        return _as_readonly(m.real)
 
     def apply(self, matrix: np.ndarray) -> np.ndarray:
         """Apply the map itself (not its exponential) to an n x n matrix."""

@@ -52,6 +52,7 @@ from .dynamics import (
     DensityMatrix,
     EvolutionModel,
     Propagator,
+    _check_spectral_match,
     _hermitize,
     classical_propagate,
     localized_state,
@@ -87,6 +88,14 @@ def _simpson_mean(vals: np.ndarray, t: float) -> float:
     w[2:-1:2] = 2.0
     integral = (t / (q - 1)) / 3.0 * np.dot(w, vals)
     return min(max(integral / t, 0.0), 1.0)
+
+
+def _check_times(times) -> np.ndarray:
+    """Final times as a float array; each must be finite and positive."""
+    t = np.asarray(times, dtype=np.float64)
+    if not np.all((0 < t) & (t < np.inf)):
+        raise ValueError("times must be finite and positive")
+    return t
 
 
 def _check_quad_points(quad_points: int) -> int:
@@ -252,8 +261,7 @@ def _k_profile(prop: Propagator, rho0_mat: np.ndarray,
 def kbar(generator: Superoperator, rho0: DensityMatrix, t: float,
          quad_points: int = DEFAULT_QUAD_POINTS) -> float:
     """Time average of K(s, t) over s in [0, t], composite Simpson."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_times(t)
     q = _check_quad_points(quad_points)
     return float(_simpson_mean(_k_profile_superop(generator, rho0.matrix, t, q), t))
 
@@ -271,7 +279,7 @@ class KbarCurve:
             raise ValueError("times and values must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly ascending")
-        if np.any((self.values < 0) | (self.values > 1)):
+        if not np.all((self.values >= 0) & (self.values <= 1)):
             raise ValueError("values must lie in [0, 1]")
 
 
@@ -287,9 +295,7 @@ def kbar_curve(graph: Graph, model: EvolutionModel, node: int,
     q = _check_quad_points(quad_points)
     prop = Propagator(graph, model)
     rho0 = localized_state(graph, node).matrix
-    t_arr = np.asarray(list(times), dtype=np.float64)
-    if np.any(t_arr <= 0):
-        raise ValueError("all grid times must be positive")
+    t_arr = _check_times(list(times))
 
     def one(t: float) -> float:
         return _simpson_mean(_k_profile(prop, rho0, t, q), t)
@@ -313,8 +319,7 @@ def kbar_curve(graph: Graph, model: EvolutionModel, node: int,
 def k_slice(graph: Graph, model: EvolutionModel, node: int, t: float,
             s_points: int) -> tuple[np.ndarray, np.ndarray]:
     """K(s, t) at fixed t over a uniform s grid with ``s_points`` intervals."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_times(t)
     if s_points < 1:
         raise ValueError("s_points must be >= 1")
     prop = Propagator(graph, model)
@@ -336,37 +341,35 @@ def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _classical_state(graph: Graph, node: int, t: float) -> DensityMatrix:
-    p = classical_propagate(graph, node, t)
-    return DensityMatrix(np.diag(p.probs.astype(np.complex128)))
+def _dqc_node(prop: Propagator, node: int, t: float) -> float:
+    rho_t = prop.density(localized_state(prop.graph, node), t)
+    p = classical_propagate(prop.graph, node, t).probs
+    value = 1.0 - fidelity(DensityMatrix(np.diag(p.astype(np.complex128))), rho_t)
+    return min(max(value, 0.0), 1.0)
 
 
-def dqc_node(graph: Graph, model: EvolutionModel, node: int, t: float,
-             _prop: Propagator | None = None) -> float:
+def dqc_node(graph: Graph, model: EvolutionModel, node: int, t: float) -> float:
     """Distance 1 - F between the walker started at ``node`` and the
     diagonal state of the classical walk started at the same node."""
-    prop = _prop if _prop is not None else Propagator(graph, model)
-    rho_t = prop.density(localized_state(graph, node), t)
-    value = 1.0 - fidelity(_classical_state(graph, node, t), rho_t)
-    return min(max(value, 0.0), 1.0)
+    return _dqc_node(Propagator(graph, model), node, t)
 
 
 def dqc(graph: Graph, model: EvolutionModel, t: float) -> float:
     """Quantum-classical dynamical distance, best case over the start node."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    prop = Propagator(graph, model)
-    return min(dqc_node(graph, model, nu, t, _prop=prop) for nu in range(graph.n))
+    return float(dqc_curve(graph, model, [t])[1][0])
 
 
 def dqc_curve(graph: Graph, model: EvolutionModel,
               times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dqc` at each nonnegative time of a grid, as ``(times, values)``.
+
+    One :class:`Propagator` serves the grid, and all start nodes of one time
+    run in a row, so the Pade route's one-entry exponential cache holds.
+    """
     prop = Propagator(graph, model)
     t_arr = np.asarray(list(times), dtype=np.float64)
-    values = np.array([
-        min(dqc_node(graph, model, nu, t, _prop=prop) for nu in range(graph.n))
-        for t in t_arr
-    ])
+    values = np.array([min(_dqc_node(prop, nu, t) for nu in range(graph.n))
+                       for t in t_arr])
     return t_arr, values
 
 
@@ -442,9 +445,7 @@ def asymptotic_kbar_energy(graph: Graph, spec: SpectralDecomposition,
     """
     if not 0 <= node < graph.n:
         raise ValueError(f"node {node} out of range for {graph.n} vertices")
-    recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-    if np.abs(recon - graph.laplacian).max() > 1e-8:
-        raise ValueError("spectral decomposition does not match graph Laplacian")
+    _check_spectral_match(graph, spec)
     f = eigenspace_overlap_matrix(spec)
     return float(0.5 * np.abs((f - f @ f)[:, node]).sum())
 
@@ -474,7 +475,6 @@ def kbar_bound_site_dephasing(graph: Graph, gamma: float, t: float,
 
 
 __all__ = [
-    "IMAG_TOL",
     "DEFAULT_QUAD_POINTS",
     "MeasurementRecord",
     "KbarCurve",

@@ -6,13 +6,13 @@ report lines alongside the test results.
 import itertools
 
 import numpy as np
+import scipy.special
 
 from ctqwalk import (
     DensityMatrix,
     EvolutionModel,
     MeasurementRecord,
     asymptotic_kbar_energy,
-    bessel_j,
     build_graph,
     classical_propagate,
     dqc,
@@ -155,7 +155,7 @@ def test_criterion_4_bessel_limit_on_large_cycle():
         u = expm_hermitian_generator(g.laplacian, t)
         for d in range(-5, 6):
             p_exact = abs(u[d % n, 0]) ** 2
-            p_limit = bessel_j(d, 2 * t) ** 2
+            p_limit = scipy.special.jv(d, 2 * t) ** 2
             worst = max(worst, abs(p_exact - p_limit))
     if worst > 2e-3:
         failures.append(f"deviation {worst:.3e}")

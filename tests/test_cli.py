@@ -276,6 +276,15 @@ def test_invalid_flags_exit_nonzero(capsys):
     assert _run(capsys, "kst", "--graph", "cycle", "--n", "4")[0] == 2
     assert _run(capsys, "kbar", "--n", "4", "--tmax", "1")[0] == 2  # graph missing
     assert _run(capsys, "kbar", "--graph", "moebius", "--n", "4", "--tmax", "1")[0] == 2
+    # non-finite values are usage errors, not NaN rows with exit code 0
+    energy = ("--model", "energy-dephasing", "--steps", "2")
+    for bad in ("nan", "inf"):
+        assert _run(capsys, "kbar", "--graph", "cycle", "--n", "4", *energy,
+                    "--gamma", bad, "--tmax", "1")[0] == 2
+        assert _run(capsys, "kbar", "--graph", "cycle", "--n", "4", *energy,
+                    "--gamma", "1", "--tmax", bad)[0] == 2
+        assert _run(capsys, "dqc", "--graph", "cycle", "--n", "4", "--tmax", bad)[0] == 2
+        assert _run(capsys, "kst", "--graph", "cycle", "--n", "4", "--t", bad)[0] == 2
 
 
 def test_superoperator_size_limit_is_a_usage_error(capsys):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from ctqwalk import (
+    ClassicalDistribution,
     DensityMatrix,
     EvolutionModel,
     Propagator,
     build_graph,
     classical_propagate,
     dephase_site,
-    evolve_localized,
     expm_hermitian_generator,
     localized_state,
     make_generator,
@@ -40,9 +40,25 @@ def test_density_matrix_validation(rng):
         DensityMatrix(np.eye(2))
     with pytest.raises(ValueError, match="PSD"):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(ValueError, match="square"):
+        DensityMatrix(np.ones((2, 3)) / 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.diag([bad, 1.0]))
     rho = DensityMatrix(random_density(rng, 4))
     assert rho.dim == 4
     assert abs(rho.populations().sum() - 1.0) < 1e-12
+
+
+def test_classical_distribution_validation():
+    with pytest.raises(ValueError, match="negative"):
+        ClassicalDistribution([1.5, -0.5])
+    with pytest.raises(ValueError, match="sum"):
+        ClassicalDistribution([0.5, 0.4])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ClassicalDistribution([bad, 1.0])
+    assert np.array_equal(ClassicalDistribution([0.25, 0.75]).probs, [0.25, 0.75])
 
 
 def test_localized_state_examples():
@@ -59,8 +75,11 @@ def test_localized_state_examples():
 
 
 def test_evolution_model_validation():
-    with pytest.raises(ValueError, match="gamma"):
-        EvolutionModel.site_dephasing(-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            EvolutionModel.site_dephasing(bad)
+        with pytest.raises(ValueError, match="gamma"):
+            EvolutionModel.energy_dephasing(bad)
     with pytest.raises(ValueError, match="kind"):
         EvolutionModel(kind="thermal")
     with pytest.raises(ValueError, match="rates"):
@@ -356,11 +375,3 @@ def test_propagator_dispatch_consistency():
         fast = prop.density(rho0, 1.9)
         slow = propagate(make_generator(g, model), rho0, 1.9)
         assert np.abs(fast.matrix - slow.matrix).max() < 1e-10
-
-
-def test_evolve_localized_shortcut():
-    g = build_graph("complete", 3)
-    out = evolve_localized(g, EvolutionModel.unitary(), 0, 0.8)
-    u = expm_hermitian_generator(g.laplacian, 0.8)
-    expected = np.outer(u[:, 0], u[:, 0].conj())
-    assert np.abs(out.matrix - expected).max() < 1e-12

@@ -148,6 +148,11 @@ def test_spectral_reconstruction_random(rng):
 def test_spectral_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        spectral_decompose(np.zeros((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            spectral_decompose(np.diag([bad, 1.0]))
 
 
 def test_degeneracy_grouping_follows_tolerance():

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.special
 
 from ctqwalk import (
     EvolutionModel,
     Superoperator,
-    bessel_j,
     build_graph,
-    expm,
     expm_hermitian_generator,
     hermitian_sqrt,
     make_generator,
@@ -42,42 +39,6 @@ def test_vec_column_stacking_convention(rng):
     direct = vec(a @ rho @ b)
     via_kron = np.kron(b.T, a) @ vec(rho)
     assert np.abs(direct - via_kron).max() < 1e-12
-
-
-# --- expm ------------------------------------------------------------------
-
-def test_expm_zero_is_identity():
-    assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
-
-
-def test_expm_diagonal():
-    out = expm(np.diag([1.0 + 0.5j, -2.0]))
-    assert np.abs(out - np.diag(np.exp([1.0 + 0.5j, -2.0]))).max() < 1e-12
-
-
-def test_expm_anti_hermitian_gives_unitary(rng):
-    h = random_hermitian(rng, 6)
-    u = expm(-1j * h)
-    assert np.abs(u @ u.conj().T - np.eye(6)).max() < 1e-10
-    # independent spectral oracle for the same exponential
-    w, v = np.linalg.eigh(h)
-    oracle = (v * np.exp(-1j * w)) @ v.conj().T
-    assert np.abs(u - oracle).max() < 1e-10
-
-
-def test_expm_commuting_factorizes(rng):
-    d1 = np.diag(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-    d2 = np.diag(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-    lhs = expm(d1 + d2)
-    rhs = expm(d1) @ expm(d2)
-    assert np.abs(lhs - rhs).max() < 1e-10
-
-
-def test_expm_rejects_bad_input():
-    with pytest.raises(ValueError, match="square"):
-        expm(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="finite"):
-        expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
 # --- expm_hermitian_generator ---------------------------------------------
@@ -115,6 +76,10 @@ def test_hermitian_generator_unitarity(rng):
 def test_hermitian_generator_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         expm_hermitian_generator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+    with pytest.raises(ValueError, match="square"):
+        expm_hermitian_generator(np.zeros((2, 3)), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        expm_hermitian_generator(np.array([[np.nan, 0.0], [0.0, 0.0]]), 1.0)
 
 
 # --- vectorize_lindblad / Superoperator ------------------------------------
@@ -226,6 +191,8 @@ def test_superoperator_defective_point_falls_back_consistently():
 def test_superoperator_shape_and_time_validation():
     with pytest.raises(ValueError, match="must be"):
         Superoperator(2, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        Superoperator(1, np.array([[np.nan]]))
     sup = Superoperator(2, np.zeros((4, 4)))
     with pytest.raises(ValueError, match="nonnegative"):
         sup.expm_apply(-0.1, np.eye(2))
@@ -254,52 +221,3 @@ def test_sqrt_clips_tiny_negatives_but_rejects_real_ones():
     assert out[1, 1] == 0.0
     with pytest.raises(ValueError, match="PSD"):
         hermitian_sqrt(np.diag([1.0, -1e-6]))
-
-
-# --- bessel_j ---------------------------------------------------------------
-
-def _bessel_quadrature_oracle(n: int, x: float, pts: int = 1_000_001) -> float:
-    # high-resolution Simpson quadrature of the defining integral
-    theta = np.linspace(-np.pi, np.pi, pts)
-    f = np.exp(1j * (x * np.sin(theta) - n * theta))
-    w = np.ones(pts)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = theta[1] - theta[0]
-    return float(np.real((h / 3.0) * np.dot(w, f)) / (2.0 * np.pi))
-
-
-def test_bessel_j0_at_zero():
-    assert bessel_j(0, 0.0) == pytest.approx(1.0, abs=1e-14)
-
-
-@pytest.mark.parametrize("order", [1, -3, 17, 64])
-def test_bessel_vanishes_at_zero_for_nonzero_order(order):
-    assert abs(bessel_j(order, 0.0)) < 1e-14
-
-
-def test_bessel_j1_of_2_against_quadrature_oracle():
-    # frozen output of _bessel_quadrature_oracle(1, 2.0) at 1e6+1 points
-    frozen = 0.57672480775455337
-    assert abs(bessel_j(1, 2.0) - frozen) < 1e-10
-    assert abs(bessel_j(1, 2.0) - _bessel_quadrature_oracle(1, 2.0)) < 1e-10
-
-
-@pytest.mark.parametrize("order,x", [(0, 5.0), (3, 7.5), (-2, 13.0), (10, 40.0),
-                                     (64, 200.0), (-64, 150.0), (7, -20.0)])
-def test_bessel_matches_scipy(order, x):
-    assert abs(bessel_j(order, x) - scipy.special.jv(order, x)) < 1e-10
-
-
-def test_bessel_negative_order_symmetry():
-    for n, x in [(1, 3.0), (4, 11.0)]:
-        assert abs(bessel_j(-n, x) - (-1) ** n * bessel_j(n, x)) < 1e-12
-
-
-def test_bessel_range_validation():
-    with pytest.raises(ValueError):
-        bessel_j(65, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(0, 200.5)
-    with pytest.raises(ValueError):
-        bessel_j(1.5, 1.0)

@@ -7,6 +7,7 @@ import scipy.linalg
 from ctqwalk import (
     DensityMatrix,
     EvolutionModel,
+    KbarCurve,
     MeasurementRecord,
     Propagator,
     Superoperator,
@@ -29,6 +30,7 @@ from ctqwalk import (
     short_time_coeffs,
     spectral_decompose,
 )
+from ctqwalk.nonclassicality import _dqc_node
 from conftest import random_density
 
 
@@ -208,6 +210,16 @@ def test_kbar_validation():
         kbar(gen, rho0, 1.0, quad_points=10)
     with pytest.raises(ValueError, match="odd"):
         kbar(gen, rho0, 1.0, quad_points=1)
+    # non-finite times are rejected, not swept into NaN values
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            kbar(gen, rho0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            kbar_curve(g, EvolutionModel.unitary(), 0, [1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            k_slice(g, EvolutionModel.unitary(), 0, bad, 4)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        KbarCurve(times=np.array([1.0, 2.0]), values=np.array([0.5, np.nan]), quad_points=3)
 
 
 def test_kbar_curve_vanishes_toward_t0():
@@ -361,7 +373,7 @@ def test_dqc_curve_pade_route_keeps_one_exponential():
     times = np.linspace(0.1, 2.0, 20)
     prop = Propagator(g, model)
     assert prop.generator.spectral_factors() is None
-    swept = [min(dqc_node(g, model, nu, t, _prop=prop) for nu in range(g.n)) for t in times]
+    swept = [min(_dqc_node(prop, nu, t) for nu in range(g.n)) for t in times]
     cached_t, cached = prop.generator._expm_last
     assert cached_t == times[-1]
     assert np.array_equal(cached, scipy.linalg.expm(prop.generator.matrix * times[-1]))
