@@ -8,9 +8,13 @@ dqc        quantum-classical dynamical distance over a time grid
 asymptote  long-time report (energy dephasing value / site dephasing bound)
 gap        spectral gap report for the chosen generator
 
-Flags override entries of an optional ``--config`` file (flat
-``key=value`` lines). Output is deterministic: identical configurations
-produce byte-identical files once the timestamp is suppressed with
+The parser of :func:`build_parser` is the one home of every flag's name,
+type, choices and default. An optional ``--config`` file holds flat
+``key=value`` lines whose keys are flag names; each line is read as the
+flag ``--key value`` by that same parser, ahead of the command line, so
+flags override the file and a bad or unknown entry is a usage error like
+a bad flag. Output is deterministic: identical configurations produce
+byte-identical files once the timestamp is suppressed with
 ``--no-timestamp``; numbers are written with 17 significant digits so
 they re-parse to the computed doubles exactly.
 """
@@ -39,15 +43,6 @@ from .nonclassicality import (
 )
 
 _MODELS = ("unitary", "site-dephasing", "energy-dephasing")
-_DEFAULTS = {
-    "model": "unitary",
-    "gamma": 0.0,
-    "node": 0,
-    "steps": 200,
-    "quad_points": 201,
-    "format": "csv",
-    "threads": max(1, os.cpu_count() or 1),
-}
 
 
 class CliError(Exception):
@@ -55,41 +50,26 @@ class CliError(Exception):
     a graph too large for the superoperator the model needs."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    graph: str
-    n: int | None
-    model: str
-    gamma: float
-    node: int
-    tmax: float | None
-    steps: int
-    t: float | None
-    quad_points: int
-    format: str
-    out: str | None
-    threads: int
-    timestamp: bool
-
-    def validate(self) -> None:
-        if self.steps < 1:
-            raise CliError(f"--steps must be >= 1, got {self.steps}")
-        if self.quad_points < 3 or self.quad_points % 2 == 0:
-            raise CliError(f"--quad-points must be odd and >= 3, got {self.quad_points}")
-        if not 0 <= self.gamma < math.inf:
-            raise CliError(f"--gamma must be finite and nonnegative, got {self.gamma}")
-        if self.model not in _MODELS:
-            raise CliError(f"--model must be one of {_MODELS}, got {self.model!r}")
-        if self.threads < 1:
-            raise CliError(f"--threads must be >= 1, got {self.threads}")
-        if self.command in ("kbar", "dqc") and not 0 < (self.tmax or 0) < math.inf:
-            raise CliError(f"--tmax must be finite and positive, got {self.tmax}")
-        if self.command == "kst":
-            if not 0 < (self.t or 0) < math.inf:
-                raise CliError(f"--t must be finite and positive for kst, got {self.t}")
-            if self.tmax is not None and not self.t <= self.tmax:
-                raise CliError(f"--t {self.t} exceeds --tmax {self.tmax}")
+def _validate(args: argparse.Namespace) -> None:
+    if args.graph is None:
+        raise CliError("--graph is required")
+    if args.steps < 1:
+        raise CliError(f"--steps must be >= 1, got {args.steps}")
+    if args.quad_points < 3 or args.quad_points % 2 == 0:
+        raise CliError(f"--quad-points must be odd and >= 3, got {args.quad_points}")
+    if not 0 <= args.gamma < math.inf:
+        raise CliError(f"--gamma must be finite and nonnegative, got {args.gamma}")
+    if args.model not in _MODELS:
+        raise CliError(f"--model must be one of {_MODELS}, got {args.model!r}")
+    if args.threads < 1:
+        raise CliError(f"--threads must be >= 1, got {args.threads}")
+    if args.command in ("kbar", "dqc") and not 0 < (args.tmax or 0) < math.inf:
+        raise CliError(f"--tmax must be finite and positive, got {args.tmax}")
+    if args.command == "kst":
+        if not 0 < (args.t or 0) < math.inf:
+            raise CliError(f"--t must be finite and positive for kst, got {args.t}")
+        if args.tmax is not None and not args.t <= args.tmax:
+            raise CliError(f"--t {args.t} exceeds --tmax {args.tmax}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +95,12 @@ class SweepSeries:
         return self.to_csv() if fmt == "csv" else self.to_json()
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
+def _config_flags(path: str) -> list[str]:
+    """The entries of a ``key=value`` config file as ``--key=value`` flags.
+
+    The one-token form keeps a value that starts with ``-`` a value.
+    """
+    flags = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -124,126 +108,86 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        entries[key.strip().replace("-", "_")] = value.strip()
-    return entries
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
-def _coerce(key: str, raw: str):
-    if key in ("n", "node", "steps", "quad_points", "threads"):
-        return int(raw)
-    if key in ("gamma", "tmax", "t"):
-        return float(raw)
-    return raw
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_entries: dict[str, object] = {}
-    if args.config is not None:
-        for key, raw in _load_config_file(args.config).items():
-            file_entries[key] = _coerce(key, raw)
-
-    def pick(key: str, default=None):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in file_entries:
-            return file_entries[key]
-        return _DEFAULTS.get(key, default)
-
-    graph = pick("graph")
-    if graph is None:
-        raise CliError("--graph is required")
-    return RunConfig(
-        command=args.command,
-        graph=str(graph),
-        n=pick("n"),
-        model=str(pick("model")),
-        gamma=float(pick("gamma")),
-        node=int(pick("node")),
-        tmax=pick("tmax"),
-        steps=int(pick("steps")),
-        t=pick("t"),
-        quad_points=int(pick("quad_points")),
-        format=str(pick("format")),
-        out=pick("out"),
-        threads=int(pick("threads")),
-        timestamp=not args.no_timestamp,
-    )
-
-
-def _build_graph(config: RunConfig) -> Graph:
-    if config.graph.startswith("file:"):
-        return graph_from_edge_list(config.graph[len("file:"):])
-    if config.graph not in ("cycle", "complete", "path"):
-        raise CliError(f"--graph must be cycle|complete|path|file:PATH, got {config.graph!r}")
-    if config.n is None or config.n < 2:
+def _build_graph(args: argparse.Namespace) -> Graph:
+    if args.graph.startswith("file:"):
+        graph = graph_from_edge_list(args.graph[len("file:"):])
+    elif args.graph not in ("cycle", "complete", "path"):
+        raise CliError(f"--graph must be cycle|complete|path|file:PATH, got {args.graph!r}")
+    elif args.n is None or args.n < 2:
         raise CliError("--n must be >= 2 for named topologies")
-    return build_graph(config.graph, config.n)
+    else:
+        graph = build_graph(args.graph, args.n)
+    if args.command in ("kbar", "kst", "asymptote") and not 0 <= args.node < graph.n:
+        raise CliError(f"--node must be in [0, {graph.n}), got {args.node}")
+    return graph
 
 
-def _model(config: RunConfig) -> EvolutionModel:
-    if config.model == "unitary":
+def _model(args: argparse.Namespace) -> EvolutionModel:
+    if args.model == "unitary":
         return EvolutionModel.unitary()
-    if config.model == "site-dephasing":
-        return EvolutionModel.site_dephasing(config.gamma)
-    return EvolutionModel.energy_dephasing(config.gamma)
+    if args.model == "site-dephasing":
+        return EvolutionModel.site_dephasing(args.gamma)
+    return EvolutionModel.energy_dephasing(args.gamma)
 
 
-def _meta(config: RunConfig, graph: Graph) -> dict[str, str]:
+def _meta(args: argparse.Namespace, graph: Graph) -> dict[str, str]:
     meta = {
-        "command": config.command,
+        "command": args.command,
         "version": __version__,
-        "graph": config.graph,
+        "graph": args.graph,
         "n": str(graph.n),
-        "model": config.model,
-        "gamma": format(config.gamma, ".17g"),
-        "node": str(config.node),
-        "steps": str(config.steps),
-        "quad_points": str(config.quad_points),
+        "model": args.model,
+        "gamma": format(args.gamma, ".17g"),
+        "node": str(args.node),
+        "steps": str(args.steps),
+        "quad_points": str(args.quad_points),
     }
-    if config.tmax is not None:
-        meta["tmax"] = format(config.tmax, ".17g")
-    if config.command == "kst":
-        meta["t"] = format(config.t, ".17g")
-    if config.timestamp:
+    if args.tmax is not None:
+        meta["tmax"] = format(args.tmax, ".17g")
+    if args.command == "kst":
+        meta["t"] = format(args.t, ".17g")
+    if not args.no_timestamp:
         meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return meta
 
 
-def cmd_kbar(config: RunConfig) -> SweepSeries:
-    graph = _build_graph(config)
-    times = np.linspace(0.0, config.tmax, config.steps + 1)[1:]
-    curve = kbar_curve(graph, _model(config), config.node, times,
-                       quad_points=config.quad_points, threads=config.threads)
+def cmd_kbar(args: argparse.Namespace) -> SweepSeries:
+    graph = _build_graph(args)
+    times = np.linspace(0.0, args.tmax, args.steps + 1)[1:]
+    curve = kbar_curve(graph, _model(args), args.node, times,
+                       quad_points=args.quad_points, threads=args.threads)
     rows = [(float(t), float(v)) for t, v in zip(curve.times, curve.values)]
-    return SweepSeries(_meta(config, graph), ("t", "value"), rows)
+    return SweepSeries(_meta(args, graph), ("t", "value"), rows)
 
 
-def cmd_kst(config: RunConfig) -> SweepSeries:
-    graph = _build_graph(config)
-    s_values, values = k_slice(graph, _model(config), config.node,
-                               config.t, config.steps)
-    rows = [(float(s), float(config.t), float(v)) for s, v in zip(s_values, values)]
-    return SweepSeries(_meta(config, graph), ("s", "t", "value"), rows)
+def cmd_kst(args: argparse.Namespace) -> SweepSeries:
+    graph = _build_graph(args)
+    s_values, values = k_slice(graph, _model(args), args.node, args.t, args.steps)
+    rows = [(float(s), float(args.t), float(v)) for s, v in zip(s_values, values)]
+    return SweepSeries(_meta(args, graph), ("s", "t", "value"), rows)
 
 
-def cmd_dqc(config: RunConfig) -> SweepSeries:
-    graph = _build_graph(config)
-    times = np.linspace(0.0, config.tmax, config.steps + 1)
-    t_arr, values = dqc_curve(graph, _model(config), times)
+def cmd_dqc(args: argparse.Namespace) -> SweepSeries:
+    graph = _build_graph(args)
+    times = np.linspace(0.0, args.tmax, args.steps + 1)
+    t_arr, values = dqc_curve(graph, _model(args), times)
     rows = [(float(t), float(v)) for t, v in zip(t_arr, values)]
-    return SweepSeries(_meta(config, graph), ("t", "value"), rows)
+    return SweepSeries(_meta(args, graph), ("t", "value"), rows)
 
 
-def cmd_asymptote(config: RunConfig) -> list[str]:
-    graph = _build_graph(config)
-    if config.model == "energy-dephasing":
-        value = asymptotic_kbar_energy(graph, graph.spectrum, config.node)
+def cmd_asymptote(args: argparse.Namespace) -> list[str]:
+    graph = _build_graph(args)
+    if args.model == "energy-dephasing":
+        value = asymptotic_kbar_energy(graph, graph.spectrum, args.node)
         return [f"asymptotic_kbar = {value:.17g}"]
-    if config.model == "site-dephasing":
-        if config.gamma <= 0:
+    if args.model == "site-dephasing":
+        if args.gamma <= 0:
             raise CliError("site-dephasing asymptote report requires --gamma > 0")
-        gen = make_generator(graph, _model(config))
+        gen = make_generator(graph, _model(args))
         gap = spectral_gap(gen)
         bound_scale = np.sqrt(graph.n)
         return [
@@ -255,9 +199,9 @@ def cmd_asymptote(config: RunConfig) -> list[str]:
     raise CliError("no asymptotic value is defined for the unitary model")
 
 
-def cmd_gap(config: RunConfig) -> list[str]:
-    graph = _build_graph(config)
-    gen = make_generator(graph, _model(config))
+def cmd_gap(args: argparse.Namespace) -> list[str]:
+    graph = _build_graph(args)
+    gen = make_generator(graph, _model(args))
     gap = spectral_gap(gen)
     fiedler = graph.fiedler_value
     lines = [
@@ -265,20 +209,20 @@ def cmd_gap(config: RunConfig) -> list[str]:
         f"stationary_dim = {gap.stationary_dim}",
         f"fiedler = {fiedler:.17g}",
     ]
-    if config.model == "site-dephasing" and config.gamma > 0:
-        ref = 2.0 * fiedler / config.gamma
+    if args.model == "site-dephasing" and args.gamma > 0:
+        ref = 2.0 * fiedler / args.gamma
         lines.append(f"ratio_mu2_to_2fiedler_over_gamma = {gap.value / ref:.17g}")
     return lines
 
 
-def _write_series(series: SweepSeries, config: RunConfig) -> None:
-    text = series.render(config.format)
-    if config.out is None:
+def _write_series(series: SweepSeries, args: argparse.Namespace) -> None:
+    text = series.render(args.format)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(config.out).write_text(text)
+        Path(args.out).write_text(text)
     values = [row[-1] for row in series.rows]
-    target = config.out if config.out is not None else "<stdout>"
+    target = args.out if args.out is not None else "<stdout>"
     print(f"wrote {len(series.rows)} rows to {target}: "
           f"final={values[-1]:.6g} max={max(values):.6g}", file=sys.stderr)
 
@@ -292,40 +236,40 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--graph", help="cycle|complete|path|file:PATH")
         p.add_argument("--n", type=int)
-        p.add_argument("--model", choices=_MODELS)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--node", type=int)
+        p.add_argument("--model", choices=_MODELS, default="unitary")
+        p.add_argument("--gamma", type=float, default=0.0)
+        p.add_argument("--node", type=int, default=0)
         p.add_argument("--tmax", type=float)
-        p.add_argument("--steps", type=int)
-        if name == "kst":
-            p.add_argument("--t", type=float)
-        p.add_argument("--quad-points", type=int, dest="quad_points")
-        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--steps", type=int, default=200)
+        p.add_argument("--t", type=float, help="final time of the kst profile")
+        p.add_argument("--quad-points", type=int, dest="quad_points", default=201)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out")
-        p.add_argument("--threads", type=int)
-        p.add_argument("--config")
+        p.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1))
+        p.add_argument("--config", help="file of key=value lines, read as --key value")
         p.add_argument("--no-timestamp", action="store_true")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "t"):
-        args.t = None
     try:
-        config = _merge_config(args)
-        config.validate()
-        if config.command == "kbar":
-            _write_series(cmd_kbar(config), config)
-        elif config.command == "kst":
-            _write_series(cmd_kst(config), config)
-        elif config.command == "dqc":
-            _write_series(cmd_dqc(config), config)
-        elif config.command == "asymptote":
-            print("\n".join(cmd_asymptote(config)))
-        elif config.command == "gap":
-            print("\n".join(cmd_gap(config)))
+        if args.config is not None:
+            # file entries first: argparse keeps the last value, so flags win
+            args = parser.parse_args([args.command, *_config_flags(args.config), *argv[1:]])
+        _validate(args)
+        if args.command == "kbar":
+            _write_series(cmd_kbar(args), args)
+        elif args.command == "kst":
+            _write_series(cmd_kst(args), args)
+        elif args.command == "dqc":
+            _write_series(cmd_dqc(args), args)
+        elif args.command == "asymptote":
+            print("\n".join(cmd_asymptote(args)))
+        elif args.command == "gap":
+            print("\n".join(cmd_gap(args)))
     except (CliError, SuperoperatorSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -28,7 +28,7 @@ import numpy as np
 from .graphs import Graph, SpectralDecomposition
 from .linalg import (HERMITICITY_TOL, PROB_TOL, SPECTRAL_MATCH_TOL, STATE_PSD_TOL,
                      STATIONARY_TOL, TRACE_TOL, Superoperator, _as_readonly,
-                     _check_square, vectorize_lindblad)
+                     _check_square, _check_time, vectorize_lindblad)
 
 MODEL_KINDS = ("unitary", "site-dephasing", "energy-dephasing", "custom")
 
@@ -175,8 +175,7 @@ def propagate_energy_closed_form(graph: Graph, spec: SpectralDecomposition,
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     if rho0.dim != graph.n:
         raise ValueError(f"state dim {rho0.dim} does not match graph size {graph.n}")
     _check_spectral_match(graph, spec)
@@ -201,8 +200,7 @@ def classical_propagate(graph: Graph, node: int, t: float) -> ClassicalDistribut
     """Classical random-walk distribution: column ``nu`` of ``e^{-Lt}``."""
     if not 0 <= node < graph.n:
         raise ValueError(f"node {node} out of range for {graph.n} vertices")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     spec = graph.spectrum
     u = spec.eigenvectors
     p = (u * np.exp(-spec.eigenvalues * t)) @ u.conj().T[:, node]
@@ -268,8 +266,7 @@ class Propagator:
 
     def evolve_matrix(self, x: np.ndarray, t: float) -> np.ndarray:
         """Apply ``e^{Lt}`` to an arbitrary n x n matrix (not only states)."""
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+        _check_time(t)
         if self._unitary_data is not None:
             w, u = self._unitary_data
             ut = (u * np.exp(-1j * w * t)) @ u.conj().T

@@ -56,7 +56,8 @@ class SuperoperatorSizeError(ValueError):
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """Read-only C-contiguous copy: the caller's array is neither aliased nor frozen."""
+    a = np.array(a, order="C")
     a.flags.writeable = False
     return a
 
@@ -114,6 +115,11 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
     return a
+
+
+def _check_time(t: float, name: str = "time") -> None:
+    if not 0 <= t < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {t}")
 
 
 def _check_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -231,8 +237,7 @@ class Superoperator:
 
     def expm_apply(self, t: float, matrix: np.ndarray) -> np.ndarray:
         """Apply ``e^{Lt}`` to an n x n matrix."""
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+        _check_time(t)
         if t == 0:
             return np.asarray(matrix, dtype=np.complex128).copy()
         spectral = self._spectral

@@ -61,7 +61,8 @@ from .dynamics import (
     spectral_gap,
 )
 from .graphs import Graph, SpectralDecomposition
-from .linalg import IMAG_TOL, Superoperator, hermitian_coords, hermitian_sqrt, vec
+from .linalg import (IMAG_TOL, Superoperator, _check_time, hermitian_coords,
+                     hermitian_sqrt, vec)
 
 DEFAULT_QUAD_POINTS = 201
 
@@ -121,8 +122,8 @@ class MeasurementRecord:
             raise ValueError("measurement record must be nonempty")
         if len(self.times) != len(self.outcomes):
             raise ValueError("times and outcomes must have equal length")
-        if self.times[0] < 0:
-            raise ValueError("measurement times must be nonnegative")
+        for t in self.times:
+            _check_time(t, "measurement time")
         if any(b < a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("measurement times must be nondecreasing")
 
@@ -165,7 +166,9 @@ def one_time_probs(generator: Superoperator, rho0: DensityMatrix,
 def kolmogorov_k(generator: Superoperator, rho0: DensityMatrix,
                  s: float, t: float) -> float:
     """Consistency violation K(s, t) for one intermediate time s <= t."""
-    if not 0 <= s <= t:
+    _check_time(s, "s")
+    _check_time(t, "t")
+    if not s <= t:
         raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
     rho_s = _hermitize(generator.expm_apply(s, rho0.matrix))
     delta = rho_s - np.diag(np.diagonal(rho_s))
@@ -300,20 +303,14 @@ def kbar_curve(graph: Graph, model: EvolutionModel, node: int,
     def one(t: float) -> float:
         return _simpson_mean(_k_profile(prop, rho0, t, q), t)
 
-    if threads > 1 and len(t_arr) > 1:
-        # fill the shared caches before the workers read them
-        if prop.model.kind in ("site-dephasing", "custom"):
-            if prop.generator.spectral_factors() is None:
-                prop.generator.real_form
-        else:
-            prop.graph.spectrum
+    # the first point runs here: it fills the caches the workers then share
+    values = [one(t) for t in t_arr[:1]]
+    if threads > 1 and len(t_arr) > 2:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = np.fromiter(pool.map(one, t_arr), dtype=np.float64,
-                                 count=len(t_arr))
+            values += pool.map(one, t_arr[1:])
     else:
-        values = np.fromiter((one(t) for t in t_arr), dtype=np.float64,
-                             count=len(t_arr))
-    return KbarCurve(times=t_arr, values=values, quad_points=q)
+        values += map(one, t_arr[1:])
+    return KbarCurve(times=t_arr, values=np.array(values, dtype=np.float64), quad_points=q)
 
 
 def k_slice(graph: Graph, model: EvolutionModel, node: int, t: float,
@@ -462,8 +459,8 @@ def kbar_bound_site_dephasing(graph: Graph, gamma: float, t: float,
         raise ValueError("bound requires a connected graph (unique stationary state)")
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
     if mu2 is None:
         gen = make_generator(graph, EvolutionModel.site_dephasing(gamma))
         gap = spectral_gap(gen)

@@ -255,6 +255,23 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     _, _, rows = _parse_csv(out)
     assert len(rows) == 3
 
+    # t is a flag of every command; kbar does not read it
+    with_t = tmp_path / "with_t.cfg"
+    with_t.write_text(cfg.read_text() + "t=1.5\n")
+    code, out_t, _ = _run(capsys, "kbar", "--config", str(with_t), "--no-timestamp")
+    assert code == 0
+    assert _parse_csv(out_t) == _parse_csv(_run(capsys, "kbar", "--config", str(cfg),
+                                                "--no-timestamp")[1])
+
+    # entries go through the flag parser: a bad value or unknown key is a usage error
+    for entry in ("format=xml", "gama=1.0", "steps=abc"):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text() + entry + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["kbar", "--config", str(bad), "--no-timestamp"])
+        assert exc.value.code == 2, entry
+        assert "error" in capsys.readouterr().err
+
 
 def test_edge_list_graph(tmp_path, capsys):
     edges = tmp_path / "p3.edges"
@@ -276,6 +293,12 @@ def test_invalid_flags_exit_nonzero(capsys):
     assert _run(capsys, "kst", "--graph", "cycle", "--n", "4")[0] == 2
     assert _run(capsys, "kbar", "--n", "4", "--tmax", "1")[0] == 2  # graph missing
     assert _run(capsys, "kbar", "--graph", "moebius", "--n", "4", "--tmax", "1")[0] == 2
+    assert _run(capsys, "kbar", "--graph", "cycle", "--n", "4", "--node", "7",
+                "--tmax", "1")[0] == 2
+    assert _run(capsys, "kst", "--graph", "cycle", "--n", "4", "--node", "-1",
+                "--t", "1")[0] == 2
+    assert _run(capsys, "asymptote", "--graph", "cycle", "--n", "4", "--node", "4",
+                "--model", "energy-dephasing")[0] == 2
     # non-finite values are usage errors, not NaN rows with exit code 0
     energy = ("--model", "energy-dephasing", "--steps", "2")
     for bad in ("nan", "inf"):

@@ -48,6 +48,12 @@ def test_density_matrix_validation(rng):
     rho = DensityMatrix(random_density(rng, 4))
     assert rho.dim == 4
     assert abs(rho.populations().sum() - 1.0) < 1e-12
+    # the stored matrix is a read-only copy; the caller's array stays writeable
+    a = np.eye(2, dtype=np.complex128) / 2
+    rho = DensityMatrix(a)
+    assert a.flags.writeable and not rho.matrix.flags.writeable
+    a[0, 0] = 0.0
+    assert rho.matrix[0, 0] == 0.5
 
 
 def test_classical_distribution_validation():
@@ -278,6 +284,19 @@ def test_classical_is_normalized_and_nonnegative():
 def test_classical_node_out_of_range():
     with pytest.raises(ValueError, match="range"):
         classical_propagate(build_graph("cycle", 3), 3, 1.0)
+
+
+def test_times_must_be_finite_and_nonnegative():
+    g = build_graph("cycle", 3)
+    rho0 = localized_state(g, 0)
+    for bad in (-0.5, np.nan, np.inf):
+        for model in _models():
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                Propagator(g, model).evolve_matrix(rho0.matrix, bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            classical_propagate(g, 0, bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            propagate_energy_closed_form(g, g.spectrum, 0.5, rho0, bad)
 
 
 # --- dephase_site ----------------------------------------------------------------

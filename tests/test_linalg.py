@@ -193,9 +193,17 @@ def test_superoperator_shape_and_time_validation():
         Superoperator(2, np.zeros((3, 3)))
     with pytest.raises(ValueError, match="finite"):
         Superoperator(1, np.array([[np.nan]]))
-    sup = Superoperator(2, np.zeros((4, 4)))
+    m = np.zeros((4, 4), dtype=np.complex128)
+    sup = Superoperator(2, m)
     with pytest.raises(ValueError, match="nonnegative"):
         sup.expm_apply(-0.1, np.eye(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sup.expm_apply(bad, np.eye(2))
+    # the stored matrix is a read-only copy; the caller's array stays writeable
+    assert m.flags.writeable and not sup.matrix.flags.writeable
+    m[0, 0] = 1.0
+    assert sup.matrix[0, 0] == 0.0
 
 
 # --- hermitian_sqrt ---------------------------------------------------------

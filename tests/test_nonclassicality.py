@@ -1,8 +1,11 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctqwalk import (
     DensityMatrix,
@@ -48,6 +51,9 @@ def test_record_validation():
         MeasurementRecord(times=(1.0, 0.5), outcomes=(0, 0))
     with pytest.raises(ValueError, match="nonnegative"):
         MeasurementRecord(times=(-1.0,), outcomes=(0,))
+    for bad in (np.nan, np.inf):  # at any position, not only the first
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementRecord(times=(0.5, bad), outcomes=(0, 0))
     with pytest.raises(ValueError, match="equal length"):
         MeasurementRecord(times=(0.5,), outcomes=(0, 1))
 
@@ -158,6 +164,11 @@ def test_k_rejects_reversed_times():
     g, gen = _two_site_unitary()
     with pytest.raises(ValueError):
         kolmogorov_k(gen, localized_state(g, 0), 1.0, 0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            kolmogorov_k(gen, localized_state(g, 0), bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            kolmogorov_k(gen, localized_state(g, 0), 0.5, bad)
 
 
 def test_large_imaginary_parts_are_an_error_not_a_clip(rng, monkeypatch):
@@ -303,6 +314,46 @@ def test_kbar_curve_model_routes_agree(rng, monkeypatch):
         assert abs(pade_mixed - kbar(gen, mixed, 1.7)) < 1e-10
         for s, k in zip(s_vals, pade):
             assert abs(k - kolmogorov_k(gen, rho0, s, 1.7)) < 1e-10
+
+
+@st.composite
+def _connected_graphs(draw, max_sites=7):
+    """A random spanning tree on 2..max_sites sites plus random extra edges."""
+    n = draw(st.integers(2, max_sites))
+    adj = np.zeros((n, n), dtype=int)
+    for k in range(1, n):
+        j = draw(st.integers(0, k - 1))
+        adj[j, k] = adj[k, j] = 1
+    pairs = list(itertools.combinations(range(n), 2))
+    for j, k in draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))):
+        adj[j, k] = adj[k, j] = 1
+    return build_graph("custom", adjacency=adj)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=_connected_graphs(), data=st.data())
+def test_routes_agree_on_random_connected_graphs(g, data):
+    node = data.draw(st.integers(0, g.n - 1), label="node")
+    t = data.draw(st.floats(0.1, 5.0), label="t")
+    gamma = data.draw(st.floats(0.1, 2.0), label="gamma")
+    rho0 = localized_state(g, node)
+    models = (EvolutionModel.unitary(), EvolutionModel.energy_dephasing(gamma),
+              EvolutionModel.site_dephasing(gamma))
+    # eigenbasis profile vs one-s-at-a-time K on the superoperator
+    for model in models[:2]:
+        s_vals, k_vals = k_slice(g, model, node, t, 8)
+        gen = make_generator(g, model)
+        ref = [kolmogorov_k(gen, rho0, s, t) for s in s_vals]
+        assert np.abs(k_vals - ref).max() < 1e-10, model.kind
+    # superoperator spectral profile vs the Pade profile, forced on
+    spectral = k_slice(g, models[2], node, t, 8)[1]
+    with mock.patch.object(Superoperator, "spectral_factors", return_value=None):
+        pade = k_slice(g, models[2], node, t, 8)[1]
+    assert np.abs(spectral - pade).max() < 1e-10
+    for model in models:
+        tau = data.draw(st.floats(0.0, 10.0), label="tau")
+        rho = Propagator(g, model).density(rho0, tau).matrix
+        assert abs(np.trace(rho) - 1.0) < 1e-10, model.kind
 
 
 def test_k_slice_profile():
@@ -490,6 +541,9 @@ def test_energy_dephasing_long_time_limit(topology, n):
 def test_bound_small_time_limit():
     g = build_graph("cycle", 5)
     assert abs(kbar_bound_site_dephasing(g, 1.0, 1e-9) - np.sqrt(5)) < 1e-6
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            kbar_bound_site_dephasing(g, 1.0, bad)
 
 
 def test_bound_monotone_decreasing():
