@@ -8,15 +8,17 @@ dqc        quantum-classical dynamical distance over a time grid
 asymptote  long-time report (energy dephasing value / site dephasing bound)
 gap        spectral gap report for the chosen generator
 
-The parser of :func:`build_parser` is the one home of every flag's name,
-type, choices and default. An optional ``--config`` file holds flat
-``key=value`` lines whose keys are flag names; each line is read as the
-flag ``--key value`` by that same parser, ahead of the command line, so
-flags override the file and a bad or unknown entry is a usage error like
-a bad flag. Output is deterministic: identical configurations produce
-byte-identical files once the timestamp is suppressed with
-``--no-timestamp``; numbers are written with 17 significant digits so
-they re-parse to the computed doubles exactly.
+The parser of :func:`build_parser` is the whole command-line contract:
+each subcommand declares only the flags it reads, each with its type,
+range, choices, default and requiredness. An optional ``--config`` file
+holds flat ``key=value`` lines whose keys are flag names of the command;
+each line is read as the flag ``--key=value`` by that same parser, ahead
+of the command line, so flags override the file and a bad, unknown or
+abbreviated entry is a usage error like the same flag typed. Output is
+deterministic: identical configurations produce byte-identical files once
+the timestamp is suppressed with ``--no-timestamp``; numbers are written
+with 17 significant digits so they re-parse to the computed doubles
+exactly.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -50,26 +53,22 @@ class CliError(Exception):
     a graph too large for the superoperator the model needs."""
 
 
-def _validate(args: argparse.Namespace) -> None:
-    if args.graph is None:
-        raise CliError("--graph is required")
-    if args.steps < 1:
-        raise CliError(f"--steps must be >= 1, got {args.steps}")
-    if args.quad_points < 3 or args.quad_points % 2 == 0:
-        raise CliError(f"--quad-points must be odd and >= 3, got {args.quad_points}")
-    if not 0 <= args.gamma < math.inf:
-        raise CliError(f"--gamma must be finite and nonnegative, got {args.gamma}")
-    if args.model not in _MODELS:
-        raise CliError(f"--model must be one of {_MODELS}, got {args.model!r}")
-    if args.threads < 1:
-        raise CliError(f"--threads must be >= 1, got {args.threads}")
-    if args.command in ("kbar", "dqc") and not 0 < (args.tmax or 0) < math.inf:
-        raise CliError(f"--tmax must be finite and positive, got {args.tmax}")
-    if args.command == "kst":
-        if not 0 < (args.t or 0) < math.inf:
-            raise CliError(f"--t must be finite and positive for kst, got {args.t}")
-        if args.tmax is not None and not args.t <= args.tmax:
-            raise CliError(f"--t {args.t} exceeds --tmax {args.tmax}")
+def _ranged(kind: type, ok: Callable[..., bool], requirement: str) -> Callable[[str], object]:
+    """A ``type=`` callable for argparse: ``kind(text)``, which must satisfy ``ok``."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" message
+    return parse
+
+
+_GRAPH = _ranged(str, lambda v: v in ("cycle", "complete", "path") or v.startswith("file:"),
+                 "cycle|complete|path|file:PATH")
+_COUNT = _ranged(int, lambda v: v >= 1, ">= 1")
+_TIME = _ranged(float, lambda v: 0 < v < math.inf, "finite and positive")
+_RATE = _ranged(float, lambda v: 0 <= v < math.inf, "finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -115,13 +114,13 @@ def _config_flags(path: str) -> list[str]:
 def _build_graph(args: argparse.Namespace) -> Graph:
     if args.graph.startswith("file:"):
         graph = graph_from_edge_list(args.graph[len("file:"):])
-    elif args.graph not in ("cycle", "complete", "path"):
-        raise CliError(f"--graph must be cycle|complete|path|file:PATH, got {args.graph!r}")
-    elif args.n is None or args.n < 2:
-        raise CliError("--n must be >= 2 for named topologies")
+        if args.n is not None and args.n != graph.n:
+            raise CliError(f"--n {args.n} contradicts the {graph.n} vertices of {args.graph}")
+    elif args.n is None:
+        raise CliError("--n is required for named topologies")
     else:
         graph = build_graph(args.graph, args.n)
-    if args.command in ("kbar", "kst", "asymptote") and not 0 <= args.node < graph.n:
+    if "node" in args and not args.node < graph.n:
         raise CliError(f"--node must be in [0, {graph.n}), got {args.node}")
     return graph
 
@@ -135,21 +134,13 @@ def _model(args: argparse.Namespace) -> EvolutionModel:
 
 
 def _meta(args: argparse.Namespace, graph: Graph) -> dict[str, str]:
-    meta = {
-        "command": args.command,
-        "version": __version__,
-        "graph": args.graph,
-        "n": str(graph.n),
-        "model": args.model,
-        "gamma": format(args.gamma, ".17g"),
-        "node": str(args.node),
-        "steps": str(args.steps),
-        "quad_points": str(args.quad_points),
-    }
-    if args.tmax is not None:
-        meta["tmax"] = format(args.tmax, ".17g")
-    if args.command == "kst":
-        meta["t"] = format(args.t, ".17g")
+    """Command, version and the command's own flags, in a fixed key order."""
+    values = vars(args) | {"n": graph.n}
+    meta = {"command": args.command, "version": __version__}
+    for key in ("graph", "n", "model", "gamma", "node", "steps", "quad_points", "tmax", "t"):
+        if key in values:
+            value = values[key]
+            meta[key] = format(value, ".17g") if isinstance(value, float) else str(value)
     if not args.no_timestamp:
         meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return meta
@@ -228,48 +219,59 @@ def _write_series(series: SweepSeries, args: argparse.Namespace) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common, node, tmax, threads, final_t, series = (
+        argparse.ArgumentParser(add_help=False, allow_abbrev=False) for _ in range(6))
+    common.add_argument("--graph", type=_GRAPH, required=True,
+                        help="cycle|complete|path|file:PATH")
+    common.add_argument("--n", type=_ranged(int, lambda v: v >= 2, ">= 2"),
+                        help="number of vertices; a file graph's own count if given")
+    common.add_argument("--model", choices=_MODELS, default="unitary")
+    common.add_argument("--gamma", type=_RATE, default=0.0)
+    common.add_argument("--config", help="file of key=value lines, read as --key=value")
+    node.add_argument("--node", type=_ranged(int, lambda v: v >= 0, ">= 0"), default=0)
+    tmax.add_argument("--tmax", type=_TIME, required=True)
+    threads.add_argument("--threads", type=_COUNT, default=max(1, os.cpu_count() or 1))
+    final_t.add_argument("--t", type=_TIME, required=True, help="final time of the profile")
+    series.add_argument("--steps", type=_COUNT, default=200)
+    # Only kbar integrates; kst and dqc record --quad-points as metadata. They
+    # keep it because perfbench/sweeps.py passes it to every series command,
+    # and an unknown flag would end a benchmark run with no result.
+    series.add_argument("--quad-points", dest="quad_points", default=201,
+                        type=_ranged(int, lambda v: v >= 3 and v % 2 == 1, "odd and >= 3"))
+    series.add_argument("--format", choices=("csv", "json"), default="csv")
+    series.add_argument("--out")
+    series.add_argument("--no-timestamp", action="store_true")
+
     parser = argparse.ArgumentParser(
-        prog="ctqwalk",
+        prog="ctqwalk", allow_abbrev=False,
         description="Nonclassicality sweeps for continuous-time quantum walks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("kbar", "kst", "dqc", "asymptote", "gap"):
-        p = sub.add_parser(name)
-        p.add_argument("--graph", help="cycle|complete|path|file:PATH")
-        p.add_argument("--n", type=int)
-        p.add_argument("--model", choices=_MODELS, default="unitary")
-        p.add_argument("--gamma", type=float, default=0.0)
-        p.add_argument("--node", type=int, default=0)
-        p.add_argument("--tmax", type=float)
-        p.add_argument("--steps", type=int, default=200)
-        p.add_argument("--t", type=float, help="final time of the kst profile")
-        p.add_argument("--quad-points", type=int, dest="quad_points", default=201)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out")
-        p.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1))
-        p.add_argument("--config", help="file of key=value lines, read as --key value")
-        p.add_argument("--no-timestamp", action="store_true")
+    for name, run, parents in (
+            ("kbar", cmd_kbar, [common, node, tmax, threads, series]),
+            ("kst", cmd_kst, [common, node, final_t, series]),
+            ("dqc", cmd_dqc, [common, tmax, series]),
+            ("asymptote", cmd_asymptote, [common, node]),
+            ("gap", cmd_gap, [common])):
+        sub.add_parser(name, parents=parents, allow_abbrev=False).set_defaults(run=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # --config is read first, so that required flags may come from the file
+    pre = argparse.ArgumentParser(prog="ctqwalk", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
     try:
-        if args.config is not None:
-            # file entries first: argparse keeps the last value, so flags win
-            args = parser.parse_args([args.command, *_config_flags(args.config), *argv[1:]])
-        _validate(args)
-        if args.command == "kbar":
-            _write_series(cmd_kbar(args), args)
-        elif args.command == "kst":
-            _write_series(cmd_kst(args), args)
-        elif args.command == "dqc":
-            _write_series(cmd_dqc(args), args)
-        elif args.command == "asymptote":
-            print("\n".join(cmd_asymptote(args)))
-        elif args.command == "gap":
-            print("\n".join(cmd_gap(args)))
+        file_flags = [] if config is None else _config_flags(config)
+        # file entries first: argparse keeps the last value, so flags win
+        args = parser.parse_args([*argv[:1], *file_flags, *argv[1:]])
+        result = args.run(args)
+        if isinstance(result, SweepSeries):
+            _write_series(result, args)
+        else:
+            print("\n".join(result))
     except (CliError, SuperoperatorSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

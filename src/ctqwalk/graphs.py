@@ -66,7 +66,7 @@ class SpectralDecomposition:
 
     ``eigenvalues`` are ascending, ``eigenvectors`` holds orthonormal
     columns, and ``groups`` partitions the indices into maximal runs of
-    eigenvalues closer than the degeneracy tolerance. Individual columns
+    eigenvalues closer than ``DEGENERACY_TOL``. Individual columns
     inside a degenerate group are decomposition-dependent; only the group
     projectors are basis-independent, so downstream code must consume
     :meth:`projector` rather than single degenerate columns.
@@ -75,7 +75,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     groups: tuple[tuple[int, ...], ...]
-    degeneracy_tol: float
 
     def projector(self, group_index: int) -> np.ndarray:
         """Orthogonal projector onto the eigenspace of one group."""
@@ -209,21 +208,18 @@ def graph_from_edge_list(path: str | Path) -> Graph:
     return build_graph("custom", adjacency=read_edge_list(path))
 
 
-def spectral_decompose(matrix: np.ndarray,
-                       degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecomposition:
+def spectral_decompose(matrix: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix and group degenerate eigenvalues.
 
     Eigenvalues are ascending; indices are chained into one group while
-    consecutive eigenvalues differ by less than ``degeneracy_tol``.
+    consecutive eigenvalues differ by less than ``DEGENERACY_TOL``.
     """
-    if degeneracy_tol <= 0:
-        raise ValueError("degeneracy_tol must be positive")
     eigenvalues, eigenvectors = np.linalg.eigh(_check_hermitian(matrix))
 
     groups: list[tuple[int, ...]] = []
     current = [0]
     for k in range(1, len(eigenvalues)):
-        if eigenvalues[k] - eigenvalues[k - 1] < degeneracy_tol:
+        if eigenvalues[k] - eigenvalues[k - 1] < DEGENERACY_TOL:
             current.append(k)
         else:
             groups.append(tuple(current))
@@ -234,5 +230,4 @@ def spectral_decompose(matrix: np.ndarray,
         eigenvalues=_as_readonly(eigenvalues),
         eigenvectors=_as_readonly(eigenvectors),
         groups=tuple(groups),
-        degeneracy_tol=float(degeneracy_tol),
     )

