@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph, SpectralDecomposition
-from .linalg import (HERMITICITY_TOL, PROB_TOL, SPECTRAL_MATCH_TOL, STATE_PSD_TOL,
+from .linalg import (HERMITICITY_TOL, IMAG_TOL, PROB_TOL, SPECTRAL_MATCH_TOL, STATE_PSD_TOL,
                      STATIONARY_TOL, TRACE_TOL, Superoperator, _as_readonly,
                      _check_square, _check_time, vectorize_lindblad)
 
@@ -40,16 +40,21 @@ def _hermitize(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated N x N density matrix (Hermitian, unit trace, PSD up to drift)."""
+    """Validated density matrix (Hermitian, unit trace, PSD up to drift).
+
+    ``matrix`` is one N x N matrix or a (k, N, N) stack of states, such as
+    the N start states of ``dqc`` at one time; every check holds for each.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _check_square(self.matrix, "density matrix")
-        defect = np.abs(m - m.conj().T).max()
+        m = _check_square(self.matrix, "density matrix", stack=True)
+        defect = np.abs(m - m.conj().swapaxes(-1, -2)).max()
         if defect > HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian (defect {defect:.3e})")
-        tr = m.trace()
+        tr = np.ravel(np.trace(m, axis1=-2, axis2=-1))
+        tr = tr[np.abs(tr - 1.0).argmax()]
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} != 1")
         lo = np.linalg.eigvalsh(m).min()
@@ -59,10 +64,10 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def populations(self) -> np.ndarray:
-        return np.real(np.diagonal(self.matrix)).copy()
+        return np.real(np.diagonal(self.matrix, axis1=-2, axis2=-1)).copy()
 
 
 @dataclass(frozen=True)
@@ -185,7 +190,8 @@ def propagate_energy_closed_form(graph: Graph, spec: SpectralDecomposition,
 
 def _energy_sum(projectors: list[np.ndarray], lam: np.ndarray, gamma: float,
                 x: np.ndarray, t: float) -> np.ndarray:
-    """``sum_{a,b} P_a x P_b exp(-i(l_a-l_b)t - (gamma/2)(l_a-l_b)^2 t)``."""
+    """``sum_{a,b} P_a x P_b exp(-i(l_a-l_b)t - (gamma/2)(l_a-l_b)^2 t)``, for
+    one matrix x or for each matrix of a (k, n, n) stack."""
     out = np.zeros(np.shape(x), dtype=np.complex128)
     for a, pa in enumerate(projectors):
         left = pa @ x
@@ -204,7 +210,10 @@ def classical_propagate(graph: Graph, node: int, t: float) -> ClassicalDistribut
     spec = graph.spectrum
     u = spec.eigenvectors
     p = (u * np.exp(-spec.eigenvalues * t)) @ u.conj().T[:, node]
-    return ClassicalDistribution(np.clip(np.real(p), 0.0, None))
+    bad = np.abs(np.imag(p)).max()
+    if bad > IMAG_TOL:
+        raise ArithmeticError(f"classical distribution has imaginary part {bad:.3e}")
+    return ClassicalDistribution(np.real(p))
 
 
 def dephase_site(rho: DensityMatrix) -> DensityMatrix:
@@ -242,10 +251,12 @@ class Propagator:
     unitary walks, the eigenspace closed form for energy dephasing, and
     the dense superoperator exponential for site dephasing and custom
     jump sets. Precomputed factorizations are reused across time points.
-    It evolves one matrix per call, which is what single-time quantities
-    such as ``dqc`` use; K(s, t) sweeps batch every s sample instead, in
-    the Laplacian eigenbasis for unitary and energy-dephasing walks and
-    through :attr:`generator` otherwise (see ``nonclassicality``).
+    It evolves one matrix or a (k, n, n) stack per call at one time: ``dqc``
+    passes the states of all start nodes at once, and each matrix of a
+    stack gets the same arithmetic as on its own. K(s, t) sweeps batch
+    every s sample of one final time instead, in the Laplacian eigenbasis
+    for unitary and energy-dephasing walks and through :attr:`generator`
+    otherwise (see ``nonclassicality``).
     """
 
     def __init__(self, graph: Graph, model: EvolutionModel):
@@ -265,7 +276,8 @@ class Propagator:
         return make_generator(self.graph, self.model)
 
     def evolve_matrix(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Apply ``e^{Lt}`` to an arbitrary n x n matrix (not only states)."""
+        """Apply ``e^{Lt}`` to an arbitrary n x n matrix (not only states) or to
+        each matrix of a (k, n, n) stack."""
         _check_time(t)
         if self._unitary_data is not None:
             w, u = self._unitary_data
@@ -277,5 +289,6 @@ class Propagator:
         return self.generator.expm_apply(t, x)
 
     def density(self, rho0: DensityMatrix, t: float) -> DensityMatrix:
+        """The state at time t, or the stack of them for a stack of start states."""
         return DensityMatrix(_hermitize(self.evolve_matrix(rho0.matrix, t)))
 

@@ -108,9 +108,34 @@ def hermitian_coords(matrix: np.ndarray) -> np.ndarray:
     return r
 
 
-def _check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _hermitian_rows(b: np.ndarray, dim: int) -> np.ndarray:
+    """``hermitian_basis(dim)^H @ b``, from the at most two rows of ``b`` in each output row."""
+    diag, xy, yx = _hermitian_pairs(dim)
+    out = np.empty(b.shape, dtype=np.complex128)
+    out[:dim] = b[diag]
+    out[dim::2] = np.sqrt(0.5) * (b[xy] + b[yx])
+    out[dim + 1::2] = -1j * np.sqrt(0.5) * (b[xy] - b[yx])
+    return out
+
+
+def _matvecs(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``a @ r`` for each row r of ``rows``, one matrix-vector product per row.
+
+    One product with all rows at once would round differently. A row that is
+    a unit vector e_j (the vec of a site projector) takes column j of ``a``,
+    which is what its product gives, bit for bit.
+    """
+    out = np.empty((len(rows), a.shape[0]), dtype=np.complex128)
+    for i, r in enumerate(rows):
+        nz = np.flatnonzero(r)
+        out[i] = a[:, nz[0]] if len(nz) == 1 and r[nz[0]] == 1 else a @ r
+    return out
+
+
+def _check_square(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Finite complex square matrix; with ``stack``, also a (k, n, n) stack of them."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
@@ -122,11 +147,13 @@ def _check_time(t: float, name: str = "time") -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {t}")
 
 
-def _check_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = _check_square(a, name)
-    defect = np.abs(a - a.conj().T).max()
-    if defect > HERMITICITY_RTOL * max(1.0, np.abs(a).max()):
-        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
+def _check_hermitian(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Hermitian up to ``HERMITICITY_RTOL`` relative to each matrix's largest entry."""
+    a = _check_square(a, name, stack)
+    defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    if np.any(defect > HERMITICITY_RTOL * scale):
+        raise ValueError(f"{name} is not Hermitian (defect {defect.max():.3e})")
     return a
 
 
@@ -142,17 +169,17 @@ def expm_hermitian_generator(h: np.ndarray, t: float) -> np.ndarray:
 
 
 def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root of a Hermitian PSD matrix.
+    """Hermitian PSD square root of a Hermitian PSD matrix, or of each of a (k, n, n) stack.
 
     Eigenvalues in ``[-PSD_TOL, 0)`` are clipped to zero before the root;
     anything below ``-PSD_TOL`` is an error, not noise.
     """
-    m = _check_hermitian(matrix)
+    m = _check_hermitian(matrix, stack=True)
     w, u = np.linalg.eigh(m)
     if w.min() < -PSD_TOL:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.conj().T
+    return (u * np.sqrt(w)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +194,11 @@ class Superoperator:
     if the matrix is too close to defective for the factorization to be
     trustworthy (reconstruction residual above ``SPECTRAL_RESIDUAL_TOL``
     relative), actions fall back to a dense Pade exponential, of which
-    only the one for the last time asked is kept (``dqc`` asks for every
-    start node at one time in a row). :attr:`real_form` is the same map as
-    a real matrix in the Hermitian coordinates of :func:`hermitian_basis`,
-    built once on first use; K(s, t) profiles on near-defective generators
-    step in it.
+    only the one for the last time asked is kept. :meth:`expm_apply` acts
+    on one matrix or on a (k, n, n) stack, such as the n start states of
+    ``dqc`` at one time. :attr:`real_form` is the same map as a real matrix
+    in the Hermitian coordinates of :func:`hermitian_basis`, built once on
+    first use; K(s, t) profiles on near-defective generators step in it.
     """
 
     def __init__(self, dim: int, matrix: np.ndarray):
@@ -213,11 +240,13 @@ class Superoperator:
     def real_form(self) -> np.ndarray:
         """Real ``T^H M T`` for ``T = hermitian_basis(dim)``.
 
+        T has at most two nonzeros per column, so both products are formed
+        from index pairs in O(n^4), as ``T^H (T^H M^H)^H``.
         Raises ArithmeticError if its imaginary part exceeds ``IMAG_TOL``
         relative to its scale: then the map does not preserve Hermiticity.
         """
-        t = hermitian_basis(self.dim)
-        m = t.conj().T @ self.matrix @ t
+        n = self.dim
+        m = _hermitian_rows(_hermitian_rows(self.matrix.conj().T, n).conj().T, n)
         bad = np.abs(m.imag).max()
         if bad > IMAG_TOL * max(1.0, np.abs(m).max()):
             raise ArithmeticError(
@@ -236,18 +265,25 @@ class Superoperator:
         return last[1]
 
     def expm_apply(self, t: float, matrix: np.ndarray) -> np.ndarray:
-        """Apply ``e^{Lt}`` to an n x n matrix."""
+        """Apply ``e^{Lt}`` to an n x n matrix or to each matrix of a (k, n, n) stack.
+
+        Each matrix takes the same products as on its own (see :func:`_matvecs`).
+        """
         _check_time(t)
+        x = np.asarray(matrix, dtype=np.complex128)
+        n = self.dim
+        if x.ndim not in (2, 3) or x.shape[-2:] != (n, n):
+            raise ValueError(f"expected {n}x{n} matrices, got shape {x.shape}")
         if t == 0:
-            return np.asarray(matrix, dtype=np.complex128).copy()
-        spectral = self._spectral
-        v0 = vec(matrix)
+            return x.copy()
+        v0 = x.swapaxes(-1, -2).reshape(-1, n * n)  # vec of each matrix, one per row
+        spectral = self.spectral_factors()
         if spectral is not None:
             w, v, vinv = spectral
-            out = v @ (np.exp(w * t) * (vinv @ v0))
+            out = _matvecs(v, np.exp(w * t) * _matvecs(vinv, v0))
         else:
-            out = self._expm_matrix(t) @ v0
-        return unvec(out, self.dim)
+            out = _matvecs(self._expm_matrix(t), v0)
+        return out.reshape(x.shape).swapaxes(-1, -2)
 
 
 def vectorize_lindblad(h: np.ndarray,

@@ -36,7 +36,9 @@ uniformly over s in [0, t] with composite Simpson quadrature.
 
 The single-time benchmark ``dqc`` is one minus the best quantum fidelity
 between the walker's state and the diagonal state of the classical random
-walk generated by the same Laplacian.
+walk generated by the same Laplacian. The best case runs over the start
+node, and all n start nodes of one time are evolved and compared as one
+(n, n, n) stack.
 """
 from __future__ import annotations
 
@@ -256,7 +258,6 @@ def _k_profile(prop: Propagator, rho0_mat: np.ndarray,
                t: float, points: int) -> np.ndarray:
     """K(s, t) for every s in ``linspace(0, t, points)``, on the model's route."""
     if prop.model.kind in ("unitary", "energy-dephasing"):
-        # dqc stays on evolve_matrix: its sqrt of near-zero eigenvalues magnifies re-rounding
         return _k_profile_eigen(prop.graph.spectrum, prop.model.gamma, rho0_mat, t, points)
     return _k_profile_superop(prop.generator, rho0_mat, t, points)
 
@@ -328,27 +329,42 @@ def k_slice(graph: Graph, model: EvolutionModel, node: int, t: float,
 # Quantum-classical dynamical distance
 # ---------------------------------------------------------------------------
 
-def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """Quantum fidelity ``[Tr sqrt(sqrt(rho1) rho2 sqrt(rho1))]^2``."""
+def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float | np.ndarray:
+    """Quantum fidelity ``[Tr sqrt(sqrt(rho1) rho2 sqrt(rho1))]^2``.
+
+    For stacks of states it is the fidelity of each pair, as an array; each
+    pair takes the same arithmetic as on its own.
+    """
     if rho1.dim != rho2.dim:
         raise ValueError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
     root = hermitian_sqrt(rho1.matrix)
     w = np.linalg.eigvalsh(root @ rho2.matrix @ root)
-    value = float(np.sqrt(np.clip(w, 0.0, None)).sum() ** 2)
-    return min(max(value, 0.0), 1.0)
+    value = np.clip(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1) ** 2, 0.0, 1.0)
+    return float(value) if value.ndim == 0 else value
 
 
-def _dqc_node(prop: Propagator, node: int, t: float) -> float:
-    rho_t = prop.density(localized_state(prop.graph, node), t)
-    p = classical_propagate(prop.graph, node, t).probs
-    value = 1.0 - fidelity(DensityMatrix(np.diag(p.astype(np.complex128))), rho_t)
-    return min(max(value, 0.0), 1.0)
+def _start_states(graph: Graph, nodes: Sequence[int]) -> DensityMatrix:
+    """``|nu><nu|`` for each node, as one (len(nodes), n, n) stack."""
+    return DensityMatrix(np.array([localized_state(graph, nu).matrix for nu in nodes]))
+
+
+def _dqc_distances(prop: Propagator, nodes: Sequence[int], starts: DensityMatrix,
+                   t: float) -> np.ndarray:
+    """``1 - F`` at time t for each start node, whose states ``starts`` holds:
+    one stacked evolution, one classical walk per node, one stacked fidelity."""
+    rho_t = prop.density(starts, t)
+    classical = np.zeros(rho_t.matrix.shape, dtype=np.complex128)
+    sites = np.arange(prop.graph.n)
+    classical[:, sites, sites] = [classical_propagate(prop.graph, nu, t).probs
+                                  for nu in nodes]
+    return np.clip(1.0 - fidelity(DensityMatrix(classical), rho_t), 0.0, 1.0)
 
 
 def dqc_node(graph: Graph, model: EvolutionModel, node: int, t: float) -> float:
     """Distance 1 - F between the walker started at ``node`` and the
     diagonal state of the classical walk started at the same node."""
-    return _dqc_node(Propagator(graph, model), node, t)
+    starts = _start_states(graph, [node])
+    return float(_dqc_distances(Propagator(graph, model), [node], starts, t)[0])
 
 
 def dqc(graph: Graph, model: EvolutionModel, t: float) -> float:
@@ -360,13 +376,17 @@ def dqc_curve(graph: Graph, model: EvolutionModel,
               times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """:func:`dqc` at each nonnegative time of a grid, as ``(times, values)``.
 
-    One :class:`Propagator` serves the grid, and all start nodes of one time
-    run in a row, so the Pade route's one-entry exponential cache holds.
+    One :class:`Propagator` serves the grid. Per time, the states of all n
+    start nodes evolve as one (n, n, n) stack, each node's classical walk is
+    one column of ``e^{-Lt}``, and one stacked fidelity compares them. Each
+    node's arithmetic is the same as :func:`dqc_node` gives it on its own,
+    so the values do not depend on the batching.
     """
     prop = Propagator(graph, model)
+    nodes = range(graph.n)
+    starts = _start_states(graph, nodes)
     t_arr = np.asarray(list(times), dtype=np.float64)
-    values = np.array([min(_dqc_node(prop, nu, t) for nu in range(graph.n))
-                       for t in t_arr])
+    values = np.array([_dqc_distances(prop, nodes, starts, t).min() for t in t_arr])
     return t_arr, values
 
 

@@ -370,10 +370,10 @@ def test_unread_and_abbreviated_flags_are_usage_errors(tmp_path, capsys):
         _usage_error(capsys, *kbar, "--config", str(cfg))
 
 
-def _perfbench_sweeps(monkeypatch):
-    """perfbench/sweeps.py, imported by path without writing bytecode beside it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "sweeps.py"
-    spec = importlib.util.spec_from_file_location("perfbench_sweeps", path)
+def _perfbench_module(monkeypatch, name="sweeps"):
+    """perfbench/<name>.py, imported by path without writing bytecode beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -384,7 +384,7 @@ def _perfbench_sweeps(monkeypatch):
 def test_benchmark_cli_runs_still_parse(tmp_path, monkeypatch, capsys):
     # the benchmark's harness does not catch argparse's SystemExit, so a flag
     # it passes that a command no longer declares would end its run
-    sw = _perfbench_sweeps(monkeypatch)
+    sw = _perfbench_module(monkeypatch)
     table = tuple(dataclasses.replace(row, count=3) for row in sw.WORKLOADS["cli-dqc"])
     for seed in (0, 1):
         for sweep in sw.make_sweeps(table, seed):
@@ -392,6 +392,33 @@ def test_benchmark_cli_runs_still_parse(tmp_path, monkeypatch, capsys):
             assert main(sweep.argv(str(out))) == 0, sweep.key
             values = sw.values_of(sweep, str(out))
             assert values.shape == (sweep.n_values,) and np.isfinite(values).all()
+    capsys.readouterr()
+
+
+def test_benchmark_traced_call_sites_are_called(tmp_path, monkeypatch, capsys):
+    # the benchmark's per-layer metrics divide span totals by these call
+    # counts (harness.per_layer), so a workload that stops calling one of
+    # them turns its metric into null; a short pass of every workload must
+    # call each of them at least once
+    sw = _perfbench_module(monkeypatch)
+    spans = _perfbench_module(monkeypatch, "spans")
+    names = ("dynamics.Propagator.__init__", "dynamics.Propagator.evolve_matrix",
+             "dynamics.classical_propagate", "nonclassicality.fidelity",
+             "nonclassicality.dqc_curve")
+    graphs = sw.build_graphs(sw.N_SITES)
+    for workload, rows in sw.WORKLOADS.items():
+        short = tuple(dataclasses.replace(row, count=3 if row.call.startswith("cli-") else 2)
+                      for row in rows)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            for sweep in sw.make_sweeps(short, 0):
+                sw.execute(sweep, graphs, str(tmp_path / f"{sweep.command}.{sweep.fmt}"))
+        finally:
+            tracer.uninstall()
+        counts = tracer.stats({}, tracer.mark())["count"]
+        for name in names:
+            assert tracer.has(name) and counts[tracer.names.index(name)] > 0, (workload, name)
     capsys.readouterr()
 
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from ctqwalk import (
     ClassicalDistribution,
     DensityMatrix,
     EvolutionModel,
+    Graph,
     Propagator,
+    Superoperator,
     build_graph,
     classical_propagate,
     dephase_site,
@@ -54,6 +58,25 @@ def test_density_matrix_validation(rng):
     assert a.flags.writeable and not rho.matrix.flags.writeable
     a[0, 0] = 0.0
     assert rho.matrix[0, 0] == 0.5
+
+
+def test_density_matrix_stack_checks_each_state(rng):
+    good = np.array([random_density(rng, 3) for _ in range(4)])
+    rho = DensityMatrix(good)
+    assert rho.dim == 3 and rho.matrix.shape == (4, 3, 3)
+    assert np.array_equal(rho.populations(),
+                          [DensityMatrix(m).populations() for m in good])
+    bad_states = {"Hermitian": np.array([[1.0, 0.5], [0.0, 0.0]]), "trace": np.eye(3)[:2, :2],
+                  "PSD": np.diag([1.5, -0.5]), "finite": np.diag([np.nan, 1.0])}
+    for match, bad in bad_states.items():
+        stack = np.array([np.eye(2) / 2] * 3, dtype=complex)
+        stack[1] = bad  # one bad state among good ones
+        with pytest.raises(ValueError, match=match):
+            DensityMatrix(stack)
+    with pytest.raises(ValueError, match="square"):
+        DensityMatrix(np.ones((2, 2, 3)) / 2)
+    with pytest.raises(ValueError, match="square"):
+        DensityMatrix(np.ones((1, 2, 2, 2)) / 2)
 
 
 def test_classical_distribution_validation():
@@ -281,6 +304,22 @@ def test_classical_is_normalized_and_nonnegative():
         assert abs(p.probs.sum() - 1.0) < 1e-12
 
 
+def test_classical_propagate_rejects_bad_columns_instead_of_clamping():
+    # a spectrum whose e^{-Lt} column dips to -1e-6 (or carries 1e-6 imaginary
+    # part) must raise, not be clipped into a distribution; eigenvalues 0 make
+    # the column that of u u^H, so u is a Cholesky factor of the wanted matrix
+    g = build_graph("path", 2)
+    cases = {"negative probability": (ValueError, [[1 + 1e-6, -1e-6], [-1e-6, 1.0]]),
+             "imaginary": (ArithmeticError, [[1.0, 1e-6j], [-1e-6j, 1.0]])}
+    for match, (error, wanted) in cases.items():
+        fake = mock.Mock(eigenvectors=np.linalg.cholesky(np.array(wanted, dtype=complex)),
+                         eigenvalues=np.zeros(2))
+        with mock.patch.object(Graph, "spectrum", new_callable=mock.PropertyMock,
+                               return_value=fake):
+            with pytest.raises(error, match=match):
+                classical_propagate(g, 0, 1.0)
+
+
 def test_classical_node_out_of_range():
     with pytest.raises(ValueError, match="range"):
         classical_propagate(build_graph("cycle", 3), 3, 1.0)
@@ -383,6 +422,30 @@ def test_mixing_bound_weak_dephasing(topology, n, gamma):
         out = propagate(gen, rho0, t)
         dist = np.abs(np.linalg.eigvalsh(out.matrix - np.eye(n) / n)).sum()
         assert dist <= np.sqrt(n) * np.exp(-mu2 * t) + 1e-8
+
+
+def test_propagator_stack_is_each_state_on_its_own(rng):
+    # a (k, n, n) stack gets each matrix's arithmetic unchanged, bit for bit,
+    # for states, site projectors and non-Hermitian matrices, on every route
+    g = build_graph("path", 3)
+    stack = np.array([random_density(rng, 3), localized_state(g, 2).matrix,
+                      rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))])
+    for model in _models():
+        prop = Propagator(g, model)
+        for t in (0.0, 0.4, 2.5):
+            out = prop.evolve_matrix(stack, t)
+            assert out.shape == stack.shape
+            for x, y in zip(stack, out):
+                assert np.array_equal(prop.evolve_matrix(x, t), y), model.kind
+        states = DensityMatrix(stack[:2])
+        evolved = prop.density(states, 1.1)
+        for x, y in zip(states.matrix, evolved.matrix):
+            assert np.array_equal(prop.density(DensityMatrix(x), 1.1).matrix, y)
+    with mock.patch.object(Superoperator, "spectral_factors", return_value=None):
+        prop = Propagator(g, _models()[1])
+        out = prop.evolve_matrix(stack, 0.4)
+        for x, y in zip(stack, out):
+            assert np.array_equal(prop.evolve_matrix(x, 0.4), y)
 
 
 def test_propagator_dispatch_consistency():

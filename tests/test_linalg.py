@@ -160,6 +160,44 @@ def test_superoperator_preserves_hermiticity(rng):
     assert np.abs(stepped - vec(out)).max() < 1e-12
 
 
+def test_real_form_matches_the_dense_product(rng):
+    # index-based T^H M T against the dense products it replaced, on a map
+    # with complex entries everywhere (random Hamiltonian and jump)
+    h = random_hermitian(rng, 4)
+    jump = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    sup = vectorize_lindblad(h, [(0.7, jump)])
+    t = hermitian_basis(4)
+    dense = t.conj().T @ sup.matrix @ t
+    assert np.abs(sup.real_form - dense.real).max() < 1e-14
+    assert np.abs(t @ sup.real_form @ t.conj().T - sup.matrix).max() < 1e-12
+    # a map that does not preserve Hermiticity still has no real form
+    with pytest.raises(ArithmeticError, match="Hermiticity"):
+        Superoperator(2, np.diag([1.0, 1j, 0.0, 0.0])).real_form
+
+
+def test_expm_apply_stack_is_each_matrix_on_its_own(rng):
+    # each matrix of a stack takes its own products; a site projector takes a
+    # column of V^{-1} (or of the Pade exponential), equal to the product
+    g = build_graph("cycle", 4)
+    stack = np.array([random_density(rng, 4), np.diag([0.0, 0.0, 1.0, 0.0]),
+                      rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))])
+    for gamma in (0.8, 2.0):
+        sup = make_generator(g, EvolutionModel.site_dephasing(gamma))
+        w, v, vinv = sup.spectral_factors()
+        out = sup.expm_apply(1.3, stack)
+        for x, y in zip(stack, out):
+            assert np.array_equal(sup.expm_apply(1.3, x), y)
+            assert np.array_equal(unvec(v @ (np.exp(w * 1.3) * (vinv @ vec(x))), 4), y)
+    pade = make_generator(build_graph("cycle", 2), EvolutionModel.site_dephasing(4.0))
+    assert pade.spectral_factors() is None
+    pair = np.array([np.diag([1.0, 0.0]), [[0.5, 0.2j], [-0.2j, 0.5]]], dtype=complex)
+    for x, y in zip(pair, pade.expm_apply(0.9, pair)):
+        assert np.array_equal(unvec(scipy.linalg.expm(pade.matrix * 0.9) @ vec(x), 2), y)
+    assert np.array_equal(pade.expm_apply(0.0, pair), pair)
+    with pytest.raises(ValueError, match="2x2"):
+        pade.expm_apply(0.9, np.eye(3))
+
+
 def test_semigroup_composition_law(rng):
     g = build_graph("cycle", 3)
     sup = make_generator(g, EvolutionModel.site_dephasing(1.2))
@@ -222,6 +260,19 @@ def test_sqrt_squares_back(rng):
     root = hermitian_sqrt(rho)
     assert np.abs(root @ root - rho).max() < 1e-10
     assert np.abs(root - root.conj().T).max() < 1e-12
+
+
+def test_sqrt_of_a_stack_is_each_root(rng):
+    stack = np.array([random_density(rng, 5) for _ in range(3)] + [np.eye(5) / 5])
+    roots = hermitian_sqrt(stack)
+    for x, r in zip(stack, roots):
+        assert np.array_equal(hermitian_sqrt(x), r)
+    stack[1] = np.diag([1.0, 0.5, 0.5, -1e-6, -1.0])
+    with pytest.raises(ValueError, match="PSD"):
+        hermitian_sqrt(stack)
+    stack[1, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_sqrt(stack)
 
 
 def test_sqrt_clips_tiny_negatives_but_rejects_real_ones():

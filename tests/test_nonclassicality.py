@@ -16,6 +16,7 @@ from ctqwalk import (
     Superoperator,
     asymptotic_kbar_energy,
     build_graph,
+    classical_propagate,
     dqc,
     dqc_curve,
     dqc_node,
@@ -33,7 +34,7 @@ from ctqwalk import (
     short_time_coeffs,
     spectral_decompose,
 )
-from ctqwalk.nonclassicality import _dqc_node
+from ctqwalk.nonclassicality import _dqc_distances, _start_states
 from conftest import random_density
 
 
@@ -424,13 +425,64 @@ def test_dqc_curve_pade_route_keeps_one_exponential():
     times = np.linspace(0.1, 2.0, 20)
     prop = Propagator(g, model)
     assert prop.generator.spectral_factors() is None
-    swept = [min(_dqc_node(prop, nu, t) for nu in range(g.n)) for t in times]
+    nodes = range(g.n)
+    starts = _start_states(g, nodes)
+    swept = [_dqc_distances(prop, nodes, starts, t).min() for t in times]
     cached_t, cached = prop.generator._expm_last
     assert cached_t == times[-1]
     assert np.array_equal(cached, scipy.linalg.expm(prop.generator.matrix * times[-1]))
     fresh = [dqc(g, model, t) for t in times]  # a new generator per time
     assert np.array_equal(swept, fresh)
     assert np.array_equal(dqc_curve(g, model, times)[1], fresh)
+
+
+def _dqc_one_state_at_a_time(g, model, times):
+    """dqc from 2-D states only: one Propagator.density and one fidelity per node."""
+    prop = Propagator(g, model)
+    return np.array([min(
+        1.0 - fidelity(DensityMatrix(np.diag(classical_propagate(g, nu, t).probs)
+                                     .astype(complex)),
+                       prop.density(localized_state(g, nu), t))
+        for nu in range(g.n)) for t in times])
+
+
+def _dqc_dense_expm(g, model, times):
+    """dqc from dense exponentials of the generator and of -L, sharing no kernel."""
+    n, m = g.n, make_generator(g, model).matrix
+    out = []
+    for t in times:
+        quantum, classical = scipy.linalg.expm(m * t), scipy.linalg.expm(-g.laplacian * t)
+        best = 1.0
+        for nu in range(n):
+            rho = quantum[:, nu * (n + 1)].reshape((n, n), order="F")
+            root = np.sqrt(np.clip(classical[:, nu], 0.0, None))
+            w = np.linalg.eigvalsh(root[:, None] * (rho + rho.conj().T) / 2 * root[None, :])
+            best = min(best, 1.0 - np.sqrt(np.clip(w, 0.0, None)).sum() ** 2)
+        out.append(best)
+    return np.array(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=_connected_graphs(), data=st.data())
+def test_batched_dqc_matches_one_state_at_a_time(g, data):
+    # the batched dqc_curve takes each node's arithmetic unchanged, so it is
+    # bitwise the loop over 2-D states, on every route; a dense expm agrees
+    # to the ~1e-8 that square roots of near-zero eigenvalues allow
+    times = data.draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3), label="times")
+    gamma = data.draw(st.floats(0.1, 2.0), label="gamma")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="jump seed")
+    re, im = np.random.default_rng(seed).standard_normal((2, g.n, g.n))
+    jump = re + 1j * im
+    models = [EvolutionModel.unitary(), EvolutionModel.energy_dephasing(gamma),
+              EvolutionModel.site_dephasing(gamma), EvolutionModel.custom([(gamma, jump)])]
+    for model in models:
+        batched = dqc_curve(g, model, times)[1]
+        assert np.array_equal(batched, _dqc_one_state_at_a_time(g, model, times)), model.kind
+        assert np.abs(batched - _dqc_dense_expm(g, model, times)).max() < 1e-6, model.kind
+    with mock.patch.object(Superoperator, "spectral_factors", return_value=None):
+        pade = dqc_curve(g, models[2], times)[1]
+        assert np.array_equal(pade, _dqc_one_state_at_a_time(g, models[2], times))
+    assert np.abs(pade - _dqc_dense_expm(g, models[2], times)).max() < 1e-6
 
 
 def test_dqc_complete_graph_tail():
