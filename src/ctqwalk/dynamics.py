@@ -24,11 +24,12 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .graphs import Graph, SpectralDecomposition
 from .linalg import (HERMITICITY_TOL, IMAG_TOL, PROB_TOL, SPECTRAL_MATCH_TOL, STATE_PSD_TOL,
                      STATIONARY_TOL, TRACE_TOL, Superoperator, _as_readonly,
-                     _check_square, _check_time, vectorize_lindblad)
+                     _check_square, _check_time, hermitian_coords, vec, vectorize_lindblad)
 
 MODEL_KINDS = ("unitary", "site-dephasing", "energy-dephasing", "custom")
 
@@ -107,6 +108,10 @@ class EvolutionModel:
             raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if any(rate < 0 for rate, _ in self.jumps):
             raise ValueError("jump rates must be nonnegative")
+        if self.gamma != 0 and self.kind in ("unitary", "custom"):
+            raise ValueError(f"a {self.kind} model takes no gamma, got {self.gamma}")
+        if self.jumps and self.kind != "custom":
+            raise ValueError(f"a {self.kind} model takes no jump list; use kind 'custom'")
 
     @classmethod
     def unitary(cls) -> "EvolutionModel":
@@ -245,46 +250,44 @@ def spectral_gap(generator: Superoperator) -> SpectralGap:
 
 
 class Propagator:
-    """Model-aware evolution engine for one (graph, model) pair.
+    """Evolution engine for one (graph, model) pair, and the one place where
+    a model kind picks its route. Each factorization is built on first use.
 
-    Chooses the cheapest exact route per model: spectral ``e^{-iLt}`` for
-    unitary walks, the eigenspace closed form for energy dephasing, and
-    the dense superoperator exponential for site dephasing and custom
-    jump sets. Precomputed factorizations are reused across time points.
-    It evolves one matrix or a (k, n, n) stack per call at one time: ``dqc``
-    passes the states of all start nodes at once, and each matrix of a
-    stack gets the same arithmetic as on its own. K(s, t) sweeps batch
-    every s sample of one final time instead, in the Laplacian eigenbasis
-    for unitary and energy-dephasing walks and through :attr:`generator`
-    otherwise (see ``nonclassicality``).
+    :meth:`evolve_matrix` applies ``e^{Lt}`` to one matrix or to a (k, n, n)
+    stack (the ``dqc`` start states), each with the arithmetic it has on its
+    own: spectral ``e^{-iLt}`` (unitary), the eigenspace closed form (energy
+    dephasing) or the superoperator exponential (site dephasing, custom).
+    :meth:`_populations` feeds K(s, t) profiles: the Laplacian eigenbasis for
+    unitary and energy dephasing, the superoperator otherwise.
     """
 
     def __init__(self, graph: Graph, model: EvolutionModel):
         self.graph = graph
         self.model = model
-        self._unitary_data: tuple[np.ndarray, np.ndarray] | None = None
-        self._energy_data: tuple[list[np.ndarray], np.ndarray] | None = None
-        if model.kind == "unitary":
-            w, u = np.linalg.eigh(graph.laplacian)
-            self._unitary_data = (w, u)
-        elif model.kind == "energy-dephasing":
-            spec = graph.spectrum
-            self._energy_data = (spec.projectors(), spec.group_eigenvalues())
 
     @cached_property
     def generator(self) -> Superoperator:
         return make_generator(self.graph, self.model)
 
+    @cached_property
+    def _laplacian_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.graph.laplacian)
+
+    @cached_property
+    def _group_projectors(self) -> tuple[list[np.ndarray], np.ndarray]:
+        spec = self.graph.spectrum
+        return spec.projectors(), spec.group_eigenvalues()
+
     def evolve_matrix(self, x: np.ndarray, t: float) -> np.ndarray:
         """Apply ``e^{Lt}`` to an arbitrary n x n matrix (not only states) or to
         each matrix of a (k, n, n) stack."""
         _check_time(t)
-        if self._unitary_data is not None:
-            w, u = self._unitary_data
+        if self.model.kind == "unitary":
+            w, u = self._laplacian_eigh
             ut = (u * np.exp(-1j * w * t)) @ u.conj().T
             return ut @ x @ ut.conj().T
-        if self._energy_data is not None:
-            projectors, lam = self._energy_data
+        if self.model.kind == "energy-dephasing":
+            projectors, lam = self._group_projectors
             return _energy_sum(projectors, lam, self.model.gamma, x, t)
         return self.generator.expm_apply(t, x)
 
@@ -292,3 +295,73 @@ class Propagator:
         """The state at time t, or the stack of them for a stack of start states."""
         return DensityMatrix(_hermitize(self.evolve_matrix(rho0.matrix, t)))
 
+    def _populations(self, rho0: np.ndarray, s: np.ndarray):
+        """``(p, act)`` of rho0 on the grid s from this model's population provider."""
+        if self.model.kind in ("unitary", "energy-dephasing"):
+            return _eigen_populations(self.graph.spectrum, self.model.gamma, rho0, s)
+        return _superop_populations(self.generator, rho0, s)
+
+
+# Population providers for K(s, t) profiles. Each maps rho0 and a uniform grid
+# s = linspace(0, t, q) to ``(p, act)``: ``p[k]`` holds the site populations
+# of e^{L s_k} rho0, and ``act(P)[k] = G(s_k) P[k]`` for a (q, n) stack P, with
+# ``G(tau)[x, y] = <x| e^{L tau}(|y><y|) |x>``. Both may be complex, so that
+# the caller checks the imaginary residue.
+
+def _eigen_populations(spec: SpectralDecomposition, gamma: float, rho0: np.ndarray,
+                       s: np.ndarray):
+    """Populations in the Laplacian eigenbasis: unitary (gamma = 0) or energy dephasing.
+
+    Both act there as ``X -> X o Phi(tau)``, ``Phi_ab = exp((-i(l_a - l_b) -
+    (gamma/2)(l_a - l_b)^2) tau)``, so both parts are ``diag U (X o Phi(s_k)) U^H``,
+    with ``X = U^H rho0 U`` for p and ``X = U^H diag(P_k) U = (P @ M)_k`` for G,
+    where ``M[x, (a, b)] = conj(U_xa) U_xb``; the diagonal is the gemm with
+    ``M^H``. Group-representative eigenvalues make Phi constant on degenerate
+    blocks, so only the group projectors matter.
+    """
+    u = spec.eigenvectors
+    n, q = len(u), len(s)
+    lam = np.repeat(spec.group_eigenvalues(), [len(g) for g in spec.groups])
+    e = np.exp(-1j * np.multiply.outer(s, lam))
+    phase = e[:, :, None] * e.conj()[:, None, :]
+    if gamma != 0:
+        phase *= np.exp(-np.multiply.outer(s, 0.5 * gamma * np.subtract.outer(lam, lam) ** 2))
+    m = (u.conj()[:, :, None] * u[:, None, :]).reshape(n, n * n)
+
+    def diagonals(x: np.ndarray) -> np.ndarray:
+        return (x * phase).reshape(q, n * n) @ m.conj().T
+
+    return (diagonals(u.conj().T @ rho0 @ u),
+            lambda pops: diagonals((pops @ m).reshape(q, n, n)))
+
+
+def _superop_populations(generator: Superoperator, rho0: np.ndarray, s: np.ndarray):
+    """Populations through the superoperator ``L = V diag(w) V^-1``.
+
+    With ``d`` the diagonal positions under column stacking,
+    ``p = V_d (e^{ws} o V^-1 vec rho0)`` and ``G(s) P = V_d (e^{ws} o V^-1[:, d] P)``.
+    Where the diagonalization is untrustworthy, one Pade exponential in real
+    Hermitian coordinates steps along the grid, carrying rho0 and the n site
+    projectors (the columns of G).
+    """
+    n = generator.dim
+    d = np.arange(n) * (n + 1)
+    spectral = generator.spectral_factors()
+    if spectral is not None:
+        w, v, vinv = spectral
+        e = np.exp(np.outer(w, s))
+        vd, vinv_d = v[d], vinv[:, d]
+        p = vd @ (e * (vinv @ vec(rho0))[:, None])
+        return p.T, lambda pops: (vd @ (e * (vinv_d @ pops.T))).T
+
+    step = scipy.linalg.expm(generator.real_form * s[1])
+    b = np.zeros((n * n, n + 1))
+    b[:n, :n] = np.eye(n)
+    b[:, n] = hermitian_coords(rho0)
+    top = np.empty((len(s), n, n + 1))  # [G(s_k) | p(s_k)]
+    top[0] = b[:n]
+    for k in range(1, len(s)):
+        b = step @ b
+        top[k] = b[:n]
+    g = top[:, :, :n]
+    return top[:, :, n], lambda pops: np.einsum("kxy,ky->kx", g, pops)

@@ -193,8 +193,8 @@ class Superoperator:
     of its matrix the first time a semigroup action ``e^{Lt}`` is needed;
     if the matrix is too close to defective for the factorization to be
     trustworthy (reconstruction residual above ``SPECTRAL_RESIDUAL_TOL``
-    relative), actions fall back to a dense Pade exponential, of which
-    only the one for the last time asked is kept. :meth:`expm_apply` acts
+    relative), actions fall back to a dense Pade exponential per call
+    (:meth:`_expm_matrix`). :meth:`expm_apply` acts
     on one matrix or on a (k, n, n) stack, such as the n start states of
     ``dqc`` at one time. :attr:`real_form` is the same map as a real matrix
     in the Hermitian coordinates of :func:`hermitian_basis`, built once on
@@ -209,7 +209,6 @@ class Superoperator:
                 f"got {matrix.shape}")
         self.dim = int(dim)
         self.matrix = _as_readonly(matrix)
-        self._expm_last: tuple[float, np.ndarray] | None = None
 
     def __repr__(self) -> str:
         return f"Superoperator(dim={self.dim})"
@@ -258,11 +257,8 @@ class Superoperator:
         return unvec(self.matrix @ vec(matrix), self.dim)
 
     def _expm_matrix(self, t: float) -> np.ndarray:
-        last = self._expm_last
-        if last is None or last[0] != t:
-            last = (t, scipy.linalg.expm(self.matrix * t))
-            self._expm_last = last
-        return last[1]
+        """Dense ``e^{Lt}``: the Pade fallback's one exponential per call."""
+        return scipy.linalg.expm(self.matrix * t)
 
     def expm_apply(self, t: float, matrix: np.ndarray) -> np.ndarray:
         """Apply ``e^{Lt}`` to an n x n matrix or to each matrix of a (k, n, n) stack.

@@ -11,28 +11,19 @@ the total-variation distance between the outcome distribution at time t
 with a marginalized intermediate measurement at time s and the
 undisturbed single-time distribution. Any classical stochastic process
 has K = 0 (marginalizing an unread measurement changes nothing), so
-K > 0 certifies genuinely nonclassical temporal correlations. K is
-evaluated through the equivalent difference form
+K > 0 certifies genuinely nonclassical temporal correlations. K reads
+only the site populations p at the two times,
 
-    K(s, t) = (1/2) sum_x | Tr[ Pi_x e^{L(t-s)} (rho(s) - Delta rho(s)) ] |,
+    K(s, t) = (1/2) sum_x | p_x(t) - [G(t-s) p(s)]_x |,
 
-which needs a forward propagation, a site dephasing, and a propagation
-of the difference per s sample. Sweeps evaluate every s sample of one
-final time t together, on the uniform grid ``linspace(0, t, points)``,
-on one of three routes: unitary and energy-dephasing walks act
-elementwise in the Laplacian eigenbasis, so the whole profile is one
-batched eigenbasis computation; site dephasing and custom jump sets use
-the superoperator's eigendecomposition or, where that is near-defective,
-one Pade exponential step per grid interval. On both superoperator
-routes only site populations reach the second leg,
-
-    Tr[ Pi_x e^{L(t-s)} (rho(s) - Delta rho(s)) ] = p_x(t) - [G(t-s) p(s)]_x,
-
-with ``G(tau)[x, y] = <x| e^{L tau}(|y><y|) |x>`` the n x n population
-transfer matrix, so no n^2 x n^2 product is formed per s. The Pade route
-steps in the real Hermitian coordinates of ``linalg.hermitian_basis``,
-where the generator is a real matrix. ``kbar`` averages K(s, t)
-uniformly over s in [0, t] with composite Simpson quadrature.
+with ``G(tau)[x, y] = <x| e^{L tau}(|y><y|) |x>`` the population transfer
+matrix. Sweeps evaluate every s of the uniform grid ``linspace(0, t, points)``
+at once, with one reduction fed by the population provider that
+``dynamics.Propagator`` picks for the model: the Laplacian eigenbasis
+(unitary and energy dephasing) or the superoperator (site dephasing and
+custom jumps). :func:`kolmogorov_k` instead propagates the full difference
+``rho(s) - Delta rho(s)`` for one s. ``kbar`` averages K(s, t) uniformly
+over s in [0, t] with composite Simpson quadrature.
 
 The single-time benchmark ``dqc`` is one minus the best quantum fidelity
 between the walker's state and the diagonal state of the classical random
@@ -42,12 +33,13 @@ node, and all n start nodes of one time are evolved and compared as one
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import (
     ClassicalDistribution,
@@ -56,6 +48,7 @@ from .dynamics import (
     Propagator,
     _check_spectral_match,
     _hermitize,
+    _superop_populations,
     classical_propagate,
     localized_state,
     make_generator,
@@ -63,8 +56,7 @@ from .dynamics import (
     spectral_gap,
 )
 from .graphs import Graph, SpectralDecomposition
-from .linalg import (IMAG_TOL, Superoperator, _check_time, hermitian_coords,
-                     hermitian_sqrt, vec)
+from .linalg import IMAG_TOL, PROB_TOL, Superoperator, _check_time, hermitian_sqrt
 
 DEFAULT_QUAD_POINTS = 201
 
@@ -75,12 +67,20 @@ def _real_probability(value: complex, what: str = "probability") -> float:
     return float(min(max(value.real, 0.0), 1.0))
 
 
+def _unit_interval(x, what: str):
+    """``x`` clipped to [0, 1]; beyond ``PROB_TOL`` of rounding it is an error."""
+    lo, hi = np.min(x), np.max(x)
+    if not (lo >= -PROB_TOL and hi <= 1.0 + PROB_TOL):
+        raise ArithmeticError(f"{what} leaves [0, 1]: values span [{lo:.17g}, {hi:.17g}]")
+    return np.clip(x, 0.0, 1.0)
+
+
 def _k_from_diagonal(diag: np.ndarray) -> np.ndarray:
-    """K from measured diagonals of shape (..., n): half their l1 norm, in [0, 1]."""
+    """K from measured diagonals (..., n): half their l1 norm, as for two distributions."""
     bad = np.abs(diag.imag).max()
     if bad > IMAG_TOL:
         raise ArithmeticError(f"measured diagonal has imaginary part {bad:.3e}")
-    return np.clip(0.5 * np.abs(diag.real).sum(axis=-1), 0.0, 1.0)
+    return _unit_interval(0.5 * np.abs(diag.real).sum(axis=-1), "K")
 
 
 def _simpson_mean(vals: np.ndarray, t: float) -> float:
@@ -90,7 +90,7 @@ def _simpson_mean(vals: np.ndarray, t: float) -> float:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     integral = (t / (q - 1)) / 3.0 * np.dot(w, vals)
-    return min(max(integral / t, 0.0), 1.0)
+    return float(_unit_interval(integral / t, "mean of K"))
 
 
 def _check_times(times) -> np.ndarray:
@@ -178,88 +178,16 @@ def kolmogorov_k(generator: Superoperator, rho0: DensityMatrix,
     return float(_k_from_diagonal(np.diagonal(out)))
 
 
-def _k_profile_superop(generator: Superoperator, rho0_mat: np.ndarray,
-                       t: float, points: int) -> np.ndarray:
-    """K(s, t) for every s in ``linspace(0, t, points)``.
+def _k_profile(populations, rho0_mat: np.ndarray, t: float, points: int) -> np.ndarray:
+    """K(s_k, t) for every s_k in ``linspace(0, t, points)``, from a route's
+    ``populations(rho0, s) -> (p, act)`` (``dynamics.Propagator._populations``).
 
-    Only site populations reach the second leg:
-    ``diag e^{L(t-s)}(rho(s) - Delta rho(s)) = p(t) - G(t-s) p(s)``, with
-    ``p`` the populations and ``G(tau)[x, y] = <x|e^{L tau}(|y><y|)|x>``.
+    ``K(s_k, t) = (1/2) sum_x |p(t) - G(t - s_k) p(s_k)|_x``; on the uniform
+    grid ``t - s_k = s_{points-1-k}``, so the second term is ``act`` on the
+    reversed populations, reversed back.
     """
-    n = generator.dim
-    s_values = np.linspace(0.0, t, points)
-    spectral = generator.spectral_factors()
-    if spectral is not None:
-        w, v, vinv = spectral
-        di = np.arange(n) * (n + 1)  # diagonal positions under column stacking
-        vd = v[di, :]
-        # on the uniform grid t - s_k = s_{points-1-k}: e^{w(t-s)} is e^{ws} reversed
-        e = np.exp(np.outer(w, s_values))
-        a = e * (vinv @ vec(rho0_mat))[:, None]  # rho(s) in eigencoordinates
-        z = (a - vinv[:, di] @ (vd @ a)) * e[:, ::-1]  # rho(s) - Delta rho(s), moved to t
-        return _k_from_diagonal((vd @ z).T)
-
-    # Near-defective generator: diagonalization untrustworthy. Step along
-    # the grid with one Pade exponential in real Hermitian coordinates,
-    # carrying the n site projectors (columns of G) and rho0 (for p).
-    step = scipy.linalg.expm(generator.real_form * (t / (points - 1)))
-    b = np.zeros((n * n, n + 1))
-    b[:n, :n] = np.eye(n)
-    b[:, n] = hermitian_coords(rho0_mat)
-    top = np.empty((points, n, n + 1))  # [G(s_k) | p(s_k)]
-    top[0] = b[:n]
-    for k in range(1, points):
-        b = step @ b
-        top[k] = b[:n]
-    g, p = top[:, :, :n], top[:, :, n]
-    return _k_from_diagonal(p[-1] - np.einsum("kxy,ky->kx", g[::-1], p))
-
-
-def _eigen_phases(lam: np.ndarray, rates: np.ndarray | None,
-                  tau: np.ndarray) -> np.ndarray:
-    """Eigenbasis factors ``exp((-i(l_a - l_b) - rates_ab) tau)``, shape (len(tau), n, n).
-
-    The oscillating part is the rank-one product of ``e^{-i l tau}`` and its
-    conjugate, so only the real damping (absent when ``rates`` is None)
-    needs an exponential per matrix entry.
-    """
-    e = np.exp(-1j * np.multiply.outer(tau, lam))
-    phase = e[:, :, None] * e.conj()[:, None, :]
-    if rates is not None:
-        phase *= np.exp(-np.multiply.outer(tau, rates))
-    return phase
-
-
-def _k_profile_eigen(spec: SpectralDecomposition, gamma: float, rho0_mat: np.ndarray,
-                     t: float, points: int) -> np.ndarray:
-    """K(s, t) for every s under unitary (gamma = 0) or energy dephasing.
-
-    In the Laplacian eigenbasis both models act elementwise,
-    ``X_ab -> X_ab exp((-i(l_a - l_b) - (gamma/2)(l_a - l_b)^2) tau)``, so
-    the whole profile is a handful of (len(s_values), n, n) batched
-    products. Each eigenvalue takes its group's representative value: the
-    factor is then constant on every degenerate block, and the result
-    depends on the group projectors only, as in
-    ``propagate_energy_closed_form``.
-    """
-    s_values = np.linspace(0.0, t, points)
-    u = spec.eigenvectors
-    uh = u.conj().T
-    lam = np.repeat(spec.group_eigenvalues(), [len(g) for g in spec.groups])
-    rates = None if gamma == 0 else 0.5 * gamma * np.subtract.outer(lam, lam) ** 2
-    rho_s = _hermitize(u @ ((uh @ rho0_mat @ u) * _eigen_phases(lam, rates, s_values)) @ uh)
-    sites = np.arange(len(lam))
-    rho_s[:, sites, sites] = 0.0  # rho(s) - Delta rho(s)
-    evolved = (uh @ rho_s @ u) * _eigen_phases(lam, rates, t - s_values)
-    return _k_from_diagonal(np.einsum("kxj,xj->kx", u @ evolved, u.conj()))
-
-
-def _k_profile(prop: Propagator, rho0_mat: np.ndarray,
-               t: float, points: int) -> np.ndarray:
-    """K(s, t) for every s in ``linspace(0, t, points)``, on the model's route."""
-    if prop.model.kind in ("unitary", "energy-dephasing"):
-        return _k_profile_eigen(prop.graph.spectrum, prop.model.gamma, rho0_mat, t, points)
-    return _k_profile_superop(prop.generator, rho0_mat, t, points)
+    p, act = populations(rho0_mat, np.linspace(0.0, t, points))
+    return _k_from_diagonal(p[-1] - act(p[::-1])[::-1])
 
 
 def kbar(generator: Superoperator, rho0: DensityMatrix, t: float,
@@ -267,7 +195,8 @@ def kbar(generator: Superoperator, rho0: DensityMatrix, t: float,
     """Time average of K(s, t) over s in [0, t], composite Simpson."""
     _check_times(t)
     q = _check_quad_points(quad_points)
-    return float(_simpson_mean(_k_profile_superop(generator, rho0.matrix, t, q), t))
+    profile = _k_profile(partial(_superop_populations, generator), rho0.matrix, t, q)
+    return _simpson_mean(profile, t)
 
 
 @dataclass(frozen=True)
@@ -293,8 +222,8 @@ def kbar_curve(graph: Graph, model: EvolutionModel, node: int,
                threads: int = 1) -> KbarCurve:
     """Averaged violation on a grid of final times, one quadrature per point.
 
-    Grid points are independent, so with ``threads > 1`` they are farmed
-    out to a thread pool (results keep grid order either way).
+    Grid points are independent, so with ``threads > 1`` they are farmed out
+    to at most ``min(threads, os.cpu_count())`` workers, in grid order.
     """
     q = _check_quad_points(quad_points)
     prop = Propagator(graph, model)
@@ -302,12 +231,12 @@ def kbar_curve(graph: Graph, model: EvolutionModel, node: int,
     t_arr = _check_times(list(times))
 
     def one(t: float) -> float:
-        return _simpson_mean(_k_profile(prop, rho0, t, q), t)
+        return _simpson_mean(_k_profile(prop._populations, rho0, t, q), t)
 
     # the first point runs here: it fills the caches the workers then share
     values = [one(t) for t in t_arr[:1]]
     if threads > 1 and len(t_arr) > 2:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             values += pool.map(one, t_arr[1:])
     else:
         values += map(one, t_arr[1:])
@@ -322,7 +251,7 @@ def k_slice(graph: Graph, model: EvolutionModel, node: int, t: float,
         raise ValueError("s_points must be >= 1")
     prop = Propagator(graph, model)
     rho0 = localized_state(graph, node).matrix
-    return np.linspace(0.0, t, s_points + 1), _k_profile(prop, rho0, t, s_points + 1)
+    return np.linspace(0.0, t, s_points + 1), _k_profile(prop._populations, rho0, t, s_points + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +268,8 @@ def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float | np.ndarray:
         raise ValueError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
     root = hermitian_sqrt(rho1.matrix)
     w = np.linalg.eigvalsh(root @ rho2.matrix @ root)
-    value = np.clip(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1) ** 2, 0.0, 1.0)
+    # np.square, not ** 2: a scalar's ** 2 is pow(), which can round apart from a stack's x*x
+    value = np.clip(np.square(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)), 0.0, 1.0)
     return float(value) if value.ndim == 0 else value
 
 

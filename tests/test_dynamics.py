@@ -115,6 +115,20 @@ def test_evolution_model_validation():
         EvolutionModel.custom([(-0.1, np.eye(2))])
 
 
+def test_evolution_model_rejects_fields_its_kind_does_not_read():
+    # the eigenbasis route reads gamma and the generator ignores it for a
+    # unitary kind, so a unitary model with a gamma would give two answers
+    jump = ((1.0, np.eye(3)),)
+    for kind in ("unitary", "custom"):
+        with pytest.raises(ValueError, match="gamma"):
+            EvolutionModel(kind=kind, gamma=2.0)
+    for kind in ("unitary", "site-dephasing", "energy-dephasing"):
+        with pytest.raises(ValueError, match="jump"):
+            EvolutionModel(kind=kind, gamma=0.0, jumps=jump)
+    assert EvolutionModel(kind="unitary", gamma=0.0) == EvolutionModel.unitary()
+    assert EvolutionModel.custom(jump).gamma == 0.0
+
+
 # --- make_generator -----------------------------------------------------------
 
 def test_unitary_generator_has_no_dissipator(rng):

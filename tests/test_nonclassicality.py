@@ -1,9 +1,13 @@
 import itertools
+import os
+import threading
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +38,9 @@ from ctqwalk import (
     short_time_coeffs,
     spectral_decompose,
 )
-from ctqwalk.nonclassicality import _dqc_distances, _start_states
+import ctqwalk.nonclassicality
+from ctqwalk.nonclassicality import (_dqc_distances, _k_from_diagonal, _simpson_mean,
+                                     _start_states)
 from conftest import random_density
 
 
@@ -262,6 +268,36 @@ def test_kbar_curve_threads_deterministic():
         assert np.array_equal(serial.values, pooled.values), model.kind
 
 
+def test_kbar_curve_pool_is_bounded_by_the_cores(monkeypatch):
+    # 7 pooled points and threads=64 must not start more workers than cores;
+    # each point sleeps so that the pool cannot reuse an idle worker early
+    workers = set()
+    simpson = ctqwalk.nonclassicality._simpson_mean
+
+    def slow(vals, t):
+        workers.add(threading.get_ident())
+        time.sleep(0.05)
+        return simpson(vals, t)
+
+    monkeypatch.setattr(ctqwalk.nonclassicality, "_simpson_mean", slow)
+    kbar_curve(build_graph("cycle", 3), EvolutionModel.unitary(), 0,
+               np.linspace(0.5, 4.0, 8), quad_points=5, threads=64)
+    workers.discard(threading.get_ident())
+    assert 1 <= len(workers) <= (os.cpu_count() or 1)
+
+
+def test_k_and_kbar_outside_the_unit_interval_raise():
+    # K and its positive-weight means lie in [0, 1]: rounding within PROB_TOL
+    # is clipped, anything further out is an error, not clamped
+    with pytest.raises(ArithmeticError, match=r"\[0, 1\]"):
+        _k_from_diagonal(np.array([[1.5, 1.0]]))
+    with pytest.raises(ArithmeticError, match=r"\[0, 1\]"):
+        _simpson_mean(np.full(5, 1.2), 1.0)
+    assert _k_from_diagonal(np.array([[1.0, 1.0 + 1e-13]]))[0] == 1.0
+    assert _simpson_mean(np.full(5, 1.0 + 1e-13), 1.0) == 1.0
+    assert _simpson_mean(np.full(5, -1e-13), 1.0) == 0.0
+
+
 def test_kbar_curve_model_routes_agree(rng, monkeypatch):
     # n-space eigenbasis kernel vs superoperator route, K and kbar
     irregular = np.zeros((6, 6), dtype=int)
@@ -368,6 +404,22 @@ def test_k_slice_profile():
     assert np.abs(k_vals - k_vals[::-1]).max() < 1e-10
 
 
+def test_k_slice_meets_the_infinite_line_on_a_large_cycle():
+    # on the infinite line p_x(s) = J_x(2s)^2 and G(tau)[x, y] = J_{x-y}(2 tau)^2,
+    # so K(s, t) = (1/2) sum_x |p(t) - G(t - s) p(s)|_x; at t = 3 the walk on
+    # cycle-64 has not reached the far side, so the two agree to rounding
+    n, t = 64, 3.0
+    s_vals, k_vals = k_slice(build_graph("cycle", n), EvolutionModel.unitary(), 0, t, 12)
+    x = (np.arange(n) + n // 2) % n - n // 2  # signed distance from the start node
+    line = []
+    for s in s_vals:
+        p_s, p_t = scipy.special.jv(x, 2 * s) ** 2, scipy.special.jv(x, 2 * t) ** 2
+        g = scipy.special.jv(x[:, None] - x[None, :], 2 * (t - s)) ** 2
+        line.append(0.5 * np.abs(p_t - g @ p_s).sum())
+    assert np.abs(k_vals - line).max() < 1e-12
+    assert k_vals[1:-1].min() > 0.01
+
+
 # --- fidelity and dqc --------------------------------------------------------------
 
 def test_fidelity_identical_states(rng):
@@ -419,7 +471,7 @@ def test_dqc_short_time_linear_in_degree(topology, n, node):
 
 def test_dqc_curve_pade_route_keeps_one_exponential():
     # cycle-2 site dephasing is exactly defective at gamma = 4, so dqc takes
-    # the Pade exponential; only the one for the latest time may be kept
+    # the Pade exponential, one per time; a reused generator gives the bits of fresh ones
     g = build_graph("cycle", 2)
     model = EvolutionModel.site_dephasing(4.0)
     times = np.linspace(0.1, 2.0, 20)
@@ -428,12 +480,23 @@ def test_dqc_curve_pade_route_keeps_one_exponential():
     nodes = range(g.n)
     starts = _start_states(g, nodes)
     swept = [_dqc_distances(prop, nodes, starts, t).min() for t in times]
-    cached_t, cached = prop.generator._expm_last
-    assert cached_t == times[-1]
-    assert np.array_equal(cached, scipy.linalg.expm(prop.generator.matrix * times[-1]))
     fresh = [dqc(g, model, t) for t in times]  # a new generator per time
     assert np.array_equal(swept, fresh)
     assert np.array_equal(dqc_curve(g, model, times)[1], fresh)
+
+
+def test_fidelity_of_one_pair_is_its_stack_entry_bit_for_bit():
+    # here a scalar's ** 2 (pow) and a stack's elementwise square round one ulp apart
+    adj = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
+    g = build_graph("custom", adjacency=adj)
+    model = EvolutionModel.energy_dephasing(1.6079671982175712)
+    t = 2.153316726017431
+    prop, nodes = Propagator(g, model), range(g.n)
+    batched = _dqc_distances(prop, nodes, _start_states(g, nodes), t)
+    single = [1.0 - fidelity(DensityMatrix(np.diag(classical_propagate(g, nu, t).probs)
+                                           .astype(complex)),
+                             prop.density(localized_state(g, nu), t)) for nu in nodes]
+    assert np.array_equal(batched, single)
 
 
 def _dqc_one_state_at_a_time(g, model, times):
