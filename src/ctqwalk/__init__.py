@@ -20,9 +20,7 @@ from .graphs import (
 )
 from .linalg import (
     Superoperator,
-    expm_hermitian_generator,
     hermitian_sqrt,
-    unvec,
     vec,
     vectorize_lindblad,
 )
@@ -33,7 +31,6 @@ from .dynamics import (
     Propagator,
     SpectralGap,
     classical_propagate,
-    dephase_site,
     localized_state,
     make_generator,
     propagate,
@@ -56,7 +53,6 @@ from .nonclassicality import (
     kbar_curve,
     kolmogorov_k,
     multi_time_prob,
-    one_time_probs,
     short_time_coeffs,
 )
 
@@ -69,9 +65,7 @@ __all__ = [
     "read_edge_list",
     "spectral_decompose",
     "Superoperator",
-    "expm_hermitian_generator",
     "hermitian_sqrt",
-    "unvec",
     "vec",
     "vectorize_lindblad",
     "ClassicalDistribution",
@@ -80,7 +74,6 @@ __all__ = [
     "Propagator",
     "SpectralGap",
     "classical_propagate",
-    "dephase_site",
     "localized_state",
     "make_generator",
     "propagate",
@@ -101,6 +94,5 @@ __all__ = [
     "kbar_curve",
     "kolmogorov_k",
     "multi_time_prob",
-    "one_time_probs",
     "short_time_coeffs",
 ]

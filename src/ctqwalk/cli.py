@@ -126,11 +126,11 @@ def _build_graph(args: argparse.Namespace) -> Graph:
 
 
 def _model(args: argparse.Namespace) -> EvolutionModel:
-    if args.model == "unitary":
-        return EvolutionModel.unitary()
-    if args.model == "site-dephasing":
-        return EvolutionModel.site_dephasing(args.gamma)
-    return EvolutionModel.energy_dephasing(args.gamma)
+    """The model of ``--model`` and ``--gamma``; a unitary walk takes no gamma."""
+    try:
+        return EvolutionModel(kind=args.model, gamma=args.gamma)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _meta(args: argparse.Namespace, graph: Graph) -> dict[str, str]:
@@ -172,13 +172,14 @@ def cmd_dqc(args: argparse.Namespace) -> SweepSeries:
 
 def cmd_asymptote(args: argparse.Namespace) -> list[str]:
     graph = _build_graph(args)
+    model = _model(args)
     if args.model == "energy-dephasing":
-        value = asymptotic_kbar_energy(graph, graph.spectrum, args.node)
+        value = asymptotic_kbar_energy(graph, args.node)
         return [f"asymptotic_kbar = {value:.17g}"]
     if args.model == "site-dephasing":
         if args.gamma <= 0:
             raise CliError("site-dephasing asymptote report requires --gamma > 0")
-        gen = make_generator(graph, _model(args))
+        gen = make_generator(graph, model)
         gap = spectral_gap(gen)
         bound_scale = np.sqrt(graph.n)
         return [

@@ -27,9 +27,9 @@ import numpy as np
 import scipy.linalg
 
 from .graphs import Graph, SpectralDecomposition
-from .linalg import (HERMITICITY_TOL, IMAG_TOL, PROB_TOL, SPECTRAL_MATCH_TOL, STATE_PSD_TOL,
-                     STATIONARY_TOL, TRACE_TOL, Superoperator, _as_readonly,
-                     _check_square, _check_time, hermitian_coords, vec, vectorize_lindblad)
+from .linalg import (HERMITICITY_TOL, IMAG_TOL, PROB_TOL, STATE_PSD_TOL, STATIONARY_TOL,
+                     TRACE_TOL, Superoperator, _as_readonly, _check_square, _check_time,
+                     hermitian_coords, vec, vectorize_lindblad)
 
 MODEL_KINDS = ("unitary", "site-dephasing", "energy-dephasing", "custom")
 
@@ -168,27 +168,20 @@ def propagate(generator: Superoperator, rho: DensityMatrix, t: float) -> Density
     return DensityMatrix(_hermitize(out))
 
 
-def _check_spectral_match(graph: Graph, spec: SpectralDecomposition) -> None:
-    recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-    if np.abs(recon - graph.laplacian).max() > SPECTRAL_MATCH_TOL:
-        raise ValueError("spectral decomposition does not match graph Laplacian")
-
-
-def propagate_energy_closed_form(graph: Graph, spec: SpectralDecomposition,
-                                 gamma: float, rho0: DensityMatrix,
+def propagate_energy_closed_form(graph: Graph, gamma: float, rho0: DensityMatrix,
                                  t: float) -> DensityMatrix:
     """Exact energy-dephasing evolution from the eigenspace double sum.
 
     ``rho(t) = sum_{a,b} P_a rho0 P_b exp(-i(l_a-l_b)t - (gamma/2)(l_a-l_b)^2 t)``
-    over eigenvalue groups; populations in the energy eigenbasis are left
-    unchanged and cross-eigenspace coherences decay.
+    over the eigenvalue groups of ``graph.spectrum``; populations in the
+    energy eigenbasis are left unchanged and cross-eigenspace coherences decay.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     _check_time(t)
     if rho0.dim != graph.n:
         raise ValueError(f"state dim {rho0.dim} does not match graph size {graph.n}")
-    _check_spectral_match(graph, spec)
+    spec = graph.spectrum
     out = _energy_sum(spec.projectors(), spec.group_eigenvalues(), gamma, rho0.matrix, t)
     return DensityMatrix(_hermitize(out))
 
@@ -219,11 +212,6 @@ def classical_propagate(graph: Graph, node: int, t: float) -> ClassicalDistribut
     if bad > IMAG_TOL:
         raise ArithmeticError(f"classical distribution has imaginary part {bad:.3e}")
     return ClassicalDistribution(np.real(p))
-
-
-def dephase_site(rho: DensityMatrix) -> DensityMatrix:
-    """Project onto the site-basis diagonal (non-selective position measurement)."""
-    return DensityMatrix(np.diag(np.diagonal(rho.matrix)))
 
 
 class SpectralGap(NamedTuple):

@@ -39,8 +39,6 @@ IMAG_TOL = 1e-9
 PROB_TOL = 1e-12
 #: diagonalization residual (relative) above which a superoperator takes the Pade route
 SPECTRAL_RESIDUAL_TOL = 1e-12
-#: largest entry of ``U diag(l) U^H - L`` for a decomposition to belong to ``L``
-SPECTRAL_MATCH_TOL = 1e-8
 #: default absolute gap below which two eigenvalues are treated as degenerate
 DEGENERACY_TOL = 1e-8
 #: generator eigenvalues with real part above ``-STATIONARY_TOL`` do not decay
@@ -65,11 +63,6 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 def vec(matrix: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
     return np.asarray(matrix).flatten(order="F")
-
-
-def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(vector).reshape((dim, dim), order="F")
 
 
 def _hermitian_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,17 +150,6 @@ def _check_hermitian(a: np.ndarray, name: str = "matrix", stack: bool = False) -
     return a
 
 
-def expm_hermitian_generator(h: np.ndarray, t: float) -> np.ndarray:
-    """``e^{-iHt}`` for Hermitian ``H`` via spectral decomposition.
-
-    The spectral route keeps the result unitary to ~1e-12 regardless of
-    ``t``, unlike Pade exponentiation of the anti-Hermitian ``-iHt``.
-    """
-    h = _check_hermitian(h, "generator")
-    w, u = np.linalg.eigh(h)
-    return (u * np.exp(-1j * w * t)) @ u.conj().T
-
-
 def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root of a Hermitian PSD matrix, or of each of a (k, n, n) stack.
 
@@ -251,10 +233,6 @@ class Superoperator:
             raise ArithmeticError(
                 f"superoperator does not preserve Hermiticity (imaginary part {bad:.3e})")
         return _as_readonly(m.real)
-
-    def apply(self, matrix: np.ndarray) -> np.ndarray:
-        """Apply the map itself (not its exponential) to an n x n matrix."""
-        return unvec(self.matrix @ vec(matrix), self.dim)
 
     def _expm_matrix(self, t: float) -> np.ndarray:
         """Dense ``e^{Lt}``: the Pade fallback's one exponential per call."""

@@ -42,29 +42,20 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import (
-    ClassicalDistribution,
     DensityMatrix,
     EvolutionModel,
     Propagator,
-    _check_spectral_match,
     _hermitize,
     _superop_populations,
     classical_propagate,
     localized_state,
     make_generator,
-    propagate,
     spectral_gap,
 )
 from .graphs import Graph, SpectralDecomposition
 from .linalg import IMAG_TOL, PROB_TOL, Superoperator, _check_time, hermitian_sqrt
 
 DEFAULT_QUAD_POINTS = 201
-
-
-def _real_probability(value: complex, what: str = "probability") -> float:
-    if abs(value.imag) > IMAG_TOL:
-        raise ArithmeticError(f"{what} has imaginary part {value.imag:.3e}")
-    return float(min(max(value.real, 0.0), 1.0))
 
 
 def _unit_interval(x, what: str):
@@ -135,7 +126,8 @@ def multi_time_prob(generator: Superoperator, rho0: DensityMatrix,
     """Joint probability of a sequence of site outcomes at given times.
 
     Alternates semigroup propagation over each interval with projection
-    ``rho -> Pi_x rho Pi_x`` onto the measured site.
+    ``rho -> Pi_x rho Pi_x`` onto the measured site. A weight beyond
+    ``PROB_TOL`` of [0, 1] raises ``ArithmeticError``.
     """
     n = generator.dim
     if rho0.dim != n:
@@ -151,14 +143,9 @@ def multi_time_prob(generator: Superoperator, rho0: DensityMatrix,
         x_mat = np.zeros((n, n), dtype=np.complex128)
         x_mat[x_i, x_i] = weight
         prev = t_i
-    return _real_probability(weight, "joint probability")
-
-
-def one_time_probs(generator: Superoperator, rho0: DensityMatrix,
-                   t: float) -> ClassicalDistribution:
-    """Site-outcome distribution of a single measurement at time t."""
-    rho_t = propagate(generator, rho0, t)
-    return ClassicalDistribution(rho_t.populations())
+    if abs(weight.imag) > IMAG_TOL:
+        raise ArithmeticError(f"joint probability has imaginary part {weight.imag:.3e}")
+    return float(_unit_interval(weight.real, "joint probability"))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +192,6 @@ class KbarCurve:
 
     times: np.ndarray
     values: np.ndarray
-    quad_points: int
 
     def __post_init__(self):
         if len(self.times) != len(self.values):
@@ -240,7 +226,7 @@ def kbar_curve(graph: Graph, model: EvolutionModel, node: int,
             values += pool.map(one, t_arr[1:])
     else:
         values += map(one, t_arr[1:])
-    return KbarCurve(times=t_arr, values=np.array(values, dtype=np.float64), quad_points=q)
+    return KbarCurve(times=t_arr, values=np.array(values, dtype=np.float64))
 
 
 def k_slice(graph: Graph, model: EvolutionModel, node: int, t: float,
@@ -287,7 +273,7 @@ def _dqc_distances(prop: Propagator, nodes: Sequence[int], starts: DensityMatrix
     sites = np.arange(prop.graph.n)
     classical[:, sites, sites] = [classical_propagate(prop.graph, nu, t).probs
                                   for nu in nodes]
-    return np.clip(1.0 - fidelity(DensityMatrix(classical), rho_t), 0.0, 1.0)
+    return 1.0 - fidelity(DensityMatrix(classical), rho_t)
 
 
 def dqc_node(graph: Graph, model: EvolutionModel, node: int, t: float) -> float:
@@ -382,18 +368,16 @@ def eigenspace_overlap_matrix(spec: SpectralDecomposition) -> np.ndarray:
     return out
 
 
-def asymptotic_kbar_energy(graph: Graph, spec: SpectralDecomposition,
-                           node: int) -> float:
+def asymptotic_kbar_energy(graph: Graph, node: int) -> float:
     """Long-time limit of the averaged violation under energy dephasing.
 
     Equals ``(1/2) sum_x |(F - F^2)[x, node]|`` with F the eigenspace
-    overlap matrix; strictly positive whenever the Laplacian eigenvectors
-    are delocalized over the sites, degenerate or not.
+    overlap matrix of ``graph.spectrum``; strictly positive whenever the
+    Laplacian eigenvectors are delocalized over the sites, degenerate or not.
     """
     if not 0 <= node < graph.n:
         raise ValueError(f"node {node} out of range for {graph.n} vertices")
-    _check_spectral_match(graph, spec)
-    f = eigenspace_overlap_matrix(spec)
+    f = eigenspace_overlap_matrix(graph.spectrum)
     return float(0.5 * np.abs((f - f @ f)[:, node]).sum())
 
 
@@ -427,7 +411,6 @@ __all__ = [
     "KbarCurve",
     "ShortTimeCoeffs",
     "multi_time_prob",
-    "one_time_probs",
     "kolmogorov_k",
     "kbar",
     "kbar_curve",

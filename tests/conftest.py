@@ -17,3 +17,8 @@ def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (a + a.conj().T)
+
+
+def apply_map(sup, x: np.ndarray) -> np.ndarray:
+    """A superoperator's map itself (not its exponential) on an n x n matrix."""
+    return (sup.matrix @ x.flatten(order="F")).reshape(sup.dim, sup.dim, order="F")

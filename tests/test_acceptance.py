@@ -12,13 +12,13 @@ from ctqwalk import (
     DensityMatrix,
     EvolutionModel,
     MeasurementRecord,
+    Propagator,
     asymptotic_kbar_energy,
     build_graph,
     classical_propagate,
     dqc,
     dqc_node,
     eigenspace_overlap_matrix,
-    expm_hermitian_generator,
     kbar,
     kbar_bound_site_dephasing,
     kbar_curve,
@@ -26,7 +26,6 @@ from ctqwalk import (
     localized_state,
     make_generator,
     multi_time_prob,
-    one_time_probs,
     propagate,
     propagate_energy_closed_form,
     spectral_decompose,
@@ -65,7 +64,7 @@ def test_criterion_1_two_site_closed_forms():
     # t*: the signed quantum-classical occupation difference crosses zero
     # where e^{-2t} = cos 2t; bisection on library-computed distributions
     def occupation_diff(t):
-        pq = one_time_probs(gen, rho0, t).probs[1]
+        pq = propagate(gen, rho0, t).populations()[1]
         pc = classical_propagate(g, 1, t).probs[1]
         return pq - pc
 
@@ -83,7 +82,7 @@ def test_criterion_1_two_site_closed_forms():
         failures.append("bracketed root does not satisfy e^{-2t}=cos 2t")
 
     # at t* the single-time distributions coincide ...
-    pq = one_time_probs(gen, rho0, t_star).probs
+    pq = propagate(gen, rho0, t_star).populations()
     pc = classical_propagate(g, 1, t_star).probs
     if 0.5 * np.abs(pq - pc).sum() > 1e-7:
         failures.append("distributions differ at t*")
@@ -150,11 +149,12 @@ def test_criterion_4_bessel_limit_on_large_cycle():
     failures = []
     n = 64
     g = build_graph("cycle", n)
+    prop = Propagator(g, EvolutionModel.unitary())
     worst = 0.0
     for t in np.linspace(0.25, 3.0, 12):
-        u = expm_hermitian_generator(g.laplacian, t)
+        p = prop.density(localized_state(g, 0), t).populations()
         for d in range(-5, 6):
-            p_exact = abs(u[d % n, 0]) ** 2
+            p_exact = p[d % n]
             p_limit = scipy.special.jv(d, 2 * t) ** 2
             worst = max(worst, abs(p_exact - p_limit))
     if worst > 2e-3:
@@ -222,7 +222,7 @@ def test_criterion_7_energy_dephasing_asymptotics():
 
     for topology, n, node, expected in cases:
         g = build_graph(topology, n)
-        value = asymptotic_kbar_energy(g, g.spectrum, node)
+        value = asymptotic_kbar_energy(g, node)
         if abs(value - expected) > 1e-12:
             failures.append(f"{topology}-{n} node {node}: closed form off")
         direct = kbar_curve(g, EvolutionModel.energy_dephasing(1.0), node,
@@ -247,9 +247,8 @@ def test_criterion_8_oracle_equivalence():
         gamma = float(rng.uniform(0.0, 2.0))
         t = float(rng.uniform(0.0, 5.0))
         g = build_graph(topology, n)
-        spec = spectral_decompose(g.laplacian)
         rho0 = DensityMatrix(random_density(rng, n))
-        a = propagate_energy_closed_form(g, spec, gamma, rho0, t)
+        a = propagate_energy_closed_form(g, gamma, rho0, t)
         b = propagate(make_generator(g, EvolutionModel.energy_dephasing(gamma)),
                       rho0, t)
         worst_prop = max(worst_prop, np.abs(a.matrix - b.matrix).max())
@@ -271,7 +270,7 @@ def test_criterion_8_oracle_equivalence():
         rho0 = localized_state(g, node)
         t = float(rng.uniform(0.1, 3.0))
         s = float(rng.uniform(0.0, t))
-        p_single = one_time_probs(gen, rho0, t).probs
+        p_single = propagate(gen, rho0, t).populations()
         k_sum = 0.0
         for x in range(n):
             marginal = sum(
@@ -354,7 +353,7 @@ def test_criterion_9_property_suite():
             rho = localized_state(g, nu)
             k_val = kolmogorov_k(gen, rho, 0.4, 1.3)
             kb_val = kbar(gen, rho, 1.3)
-            probs = np.roll(one_time_probs(gen, rho, 1.3).probs, -nu)
+            probs = np.roll(propagate(gen, rho, 1.3).populations(), -nu)
             if refs is None:
                 refs = (k_val, kb_val, probs)
             else:

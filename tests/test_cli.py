@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -218,6 +219,21 @@ def test_asymptote_refuses_unitary(capsys):
     assert "no asymptotic" in err
 
 
+def test_unitary_model_takes_no_gamma(capsys):
+    # a unitary walk has no rate: --gamma is refused, not run as the unitary
+    # walk and recorded in the file as if it had been used
+    commands = {"kbar": ("--tmax", "1", "--steps", "2"), "kst": ("--t", "1", "--steps", "2"),
+                "dqc": ("--tmax", "1", "--steps", "2"), "asymptote": (), "gap": ()}
+    for command, flags in commands.items():
+        argv = (command, "--graph", "cycle", "--n", "4", "--model", "unitary", *flags)
+        code, _, err = _run(capsys, *argv, "--gamma", "0.5")
+        assert code == 2 and "takes no gamma" in err, command
+        code, _, err = _run(capsys, *argv, "--gamma", "0")
+        # the unitary walk has no long-time value to report, with or without gamma
+        assert code == (2 if command == "asymptote" else 0), command
+        assert "takes no gamma" not in err, command
+
+
 def test_gap_strong_dephasing_ratio(capsys):
     code, out, _ = _run(capsys, "gap", "--graph", "cycle", "--n", "5",
                         "--model", "site-dephasing", "--gamma", "50.0")
@@ -420,6 +436,41 @@ def test_benchmark_traced_call_sites_are_called(tmp_path, monkeypatch, capsys):
         for name in names:
             assert tracer.has(name) and counts[tracer.names.index(name)] > 0, (workload, name)
     capsys.readouterr()
+
+
+def test_benchmark_library_names_resolve(monkeypatch):
+    # perfbench reads these names from the package, and its traced run times
+    # the layer functions listed here; a deleted one would end a benchmark run
+    # with no result
+    import ctqwalk
+
+    names = set()
+    for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
+        names.update(re.findall(r"\bctqwalk\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)",
+                                path.read_text()))
+    assert {"kbar_curve", "dqc_curve", "cli.main"} <= names
+    names |= {"graphs.spectral_decompose", "linalg.Superoperator.spectral_factors",
+              "dynamics.Propagator.__init__", "dynamics.Propagator.evolve_matrix",
+              "dynamics.classical_propagate", "nonclassicality.fidelity",
+              "nonclassicality.dqc_curve", "cli.SweepSeries.render"}
+    names |= {".".join(entry) for entry in _perfbench_module(monkeypatch, "spans").INTERNAL}
+    missing = []
+    for dotted in sorted(names):
+        obj = ctqwalk
+        for part in dotted.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"ctqwalk.{dotted}")
+    assert not missing
+
+
+def test_exported_names_exist():
+    import ctqwalk
+    import ctqwalk.nonclassicality
+
+    for module in (ctqwalk, ctqwalk.nonclassicality):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 def test_superoperator_size_limit_is_a_usage_error(capsys):

@@ -4,24 +4,40 @@ import scipy.linalg
 
 from ctqwalk import (
     EvolutionModel,
+    Propagator,
     Superoperator,
     build_graph,
-    expm_hermitian_generator,
     hermitian_sqrt,
     make_generator,
-    unvec,
     vec,
     vectorize_lindblad,
 )
 from ctqwalk.linalg import MAX_SUPEROPERATOR_DIM, hermitian_basis, hermitian_coords
-from conftest import random_density, random_hermitian
+from conftest import apply_map, random_density, random_hermitian
 
 
-# --- vec / unvec -----------------------------------------------------------
+def _unvec(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of vec: the column-stacked vector back as an n x n matrix."""
+    return v.reshape(n, n, order="F")
+
+
+def _site_projectors(n: int) -> np.ndarray:
+    """``|y><y|`` for every site y, as one (n, n, n) stack."""
+    return np.eye(n)[:, :, None] * np.eye(n)[:, None, :]
+
+
+def _unitary_evolution(topology: str, n: int, t: float) -> np.ndarray:
+    """``e^{-iLt} |y><y| e^{iLt}`` for every site y, from the unitary Propagator;
+    entry ``[y, x, x]`` is the transition probability ``|<x| e^{-iLt} |y>|^2``."""
+    prop = Propagator(build_graph(topology, n), EvolutionModel.unitary())
+    return prop.evolve_matrix(_site_projectors(n), t)
+
+
+# --- vec / column stacking ---------------------------------------------------
 
 def test_vec_roundtrip(rng):
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.array_equal(unvec(vec(m), 4), m)
+    assert np.array_equal(_unvec(vec(m), 4), m)
     # real Hermitian coordinates: vec(X) = T r with T unitary and r real
     t = hermitian_basis(4)
     assert np.abs(t.conj().T @ t - np.eye(16)).max() < 1e-15
@@ -41,45 +57,47 @@ def test_vec_column_stacking_convention(rng):
     assert np.abs(direct - via_kron).max() < 1e-12
 
 
-# --- expm_hermitian_generator ---------------------------------------------
+# --- the unitary walk e^{-iLt} (spectral route of Propagator) ------------
 
 def test_hermitian_generator_t0_identity(rng):
-    h = random_hermitian(rng, 5)
-    assert np.abs(expm_hermitian_generator(h, 0.0) - np.eye(5)).max() < 1e-14
+    g = build_graph("cycle", 5)
+    x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    out = Propagator(g, EvolutionModel.unitary()).evolve_matrix(x, 0.0)
+    assert np.abs(out - x).max() < 1e-14
 
 
 def test_hermitian_generator_two_site_return_probability():
-    lap = build_graph("cycle", 2).laplacian
     for t in np.linspace(0.0, 4.0, 23):
-        amp = expm_hermitian_generator(lap, t)[1, 1]
-        assert abs(abs(amp) ** 2 - 0.5 * (1 + np.cos(2 * t))) < 1e-12
+        p_return = _unitary_evolution("cycle", 2, t)[1, 1, 1].real
+        assert abs(p_return - 0.5 * (1 + np.cos(2 * t))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_hermitian_generator_complete_graph_transitions(n):
-    lap = build_graph("complete", n).laplacian
     for t in (0.3, 0.9, 2.2):
-        u = expm_hermitian_generator(lap, t)
+        rho = _unitary_evolution("complete", n, t)
         p_out = (4.0 / n**2) * np.sin(n * t / 2) ** 2
-        for x in range(n):
-            for y in range(n):
+        for y in range(n):
+            for x in range(n):
                 expected = 1 - (n - 1) * p_out if x == y else p_out
-                assert abs(abs(u[x, y]) ** 2 - expected) < 1e-12
+                assert abs(rho[y, x, x].real - expected) < 1e-12
 
 
-def test_hermitian_generator_unitarity(rng):
-    h = random_hermitian(rng, 8)
-    u = expm_hermitian_generator(h, 17.3)
-    assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-12
+def test_hermitian_generator_unitarity():
+    # e^{-iLt} stays unitary at long t: each evolved site projector is still a
+    # rank-one projector, and together they still resolve the identity
+    rho = _unitary_evolution("cycle", 8, 17.3)
+    assert np.abs(rho @ rho - rho).max() < 1e-12
+    assert np.abs(rho.sum(axis=0) - np.eye(8)).max() < 1e-12
 
 
 def test_hermitian_generator_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        expm_hermitian_generator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+        vectorize_lindblad(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
-        expm_hermitian_generator(np.zeros((2, 3)), 1.0)
+        vectorize_lindblad(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="finite"):
-        expm_hermitian_generator(np.array([[np.nan, 0.0], [0.0, 0.0]]), 1.0)
+        vectorize_lindblad(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
 # --- vectorize_lindblad / Superoperator ------------------------------------
@@ -88,7 +106,7 @@ def test_commutator_only_matches_direct(rng):
     h = random_hermitian(rng, 4)
     sup = vectorize_lindblad(h, [])
     rho = random_density(rng, 4)
-    assert np.abs(sup.apply(rho) - (-1j) * (h @ rho - rho @ h)).max() < 1e-12
+    assert np.abs(apply_map(sup, rho) - (-1j) * (h @ rho - rho @ h)).max() < 1e-12
 
 
 def test_site_dephasing_annihilates_diagonal_states():
@@ -100,7 +118,7 @@ def test_site_dephasing_annihilates_diagonal_states():
         jumps.append((0.7, g))
     sup = vectorize_lindblad(np.zeros((n, n)), jumps)
     rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-    assert np.abs(sup.apply(rho)).max() < 1e-14
+    assert np.abs(apply_map(sup, rho)).max() < 1e-14
 
 
 def test_site_dephasing_generator_spectrum_structure():
@@ -141,7 +159,7 @@ def test_superoperator_preserves_trace(rng):
         assert abs(out.trace() - rho.trace()) < 1e-10
         # the generator itself is traceless in action, on any Hermitian input
         h = random_hermitian(rng, 4)
-        assert abs(sup.apply(h).trace()) < 1e-10
+        assert abs(apply_map(sup, h).trace()) < 1e-10
         assert abs(sup.expm_apply(0.7, h).trace() - h.trace()) < 1e-10
 
 
@@ -187,12 +205,12 @@ def test_expm_apply_stack_is_each_matrix_on_its_own(rng):
         out = sup.expm_apply(1.3, stack)
         for x, y in zip(stack, out):
             assert np.array_equal(sup.expm_apply(1.3, x), y)
-            assert np.array_equal(unvec(v @ (np.exp(w * 1.3) * (vinv @ vec(x))), 4), y)
+            assert np.array_equal(_unvec(v @ (np.exp(w * 1.3) * (vinv @ vec(x))), 4), y)
     pade = make_generator(build_graph("cycle", 2), EvolutionModel.site_dephasing(4.0))
     assert pade.spectral_factors() is None
     pair = np.array([np.diag([1.0, 0.0]), [[0.5, 0.2j], [-0.2j, 0.5]]], dtype=complex)
     for x, y in zip(pair, pade.expm_apply(0.9, pair)):
-        assert np.array_equal(unvec(scipy.linalg.expm(pade.matrix * 0.9) @ vec(x), 2), y)
+        assert np.array_equal(_unvec(scipy.linalg.expm(pade.matrix * 0.9) @ vec(x), 2), y)
     assert np.array_equal(pade.expm_apply(0.0, pair), pair)
     with pytest.raises(ValueError, match="2x2"):
         pade.expm_apply(0.9, np.eye(3))

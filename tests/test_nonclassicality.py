@@ -34,7 +34,7 @@ from ctqwalk import (
     localized_state,
     make_generator,
     multi_time_prob,
-    one_time_probs,
+    propagate,
     short_time_coeffs,
     spectral_decompose,
 )
@@ -98,6 +98,24 @@ def test_three_time_outcomes_sum_to_one():
     assert abs(total - 1.0) < 1e-10
 
 
+def test_multi_time_prob_outside_the_unit_interval_raises():
+    # a measured weight of 1.5 is an error, not a probability clamped to 1
+    g, gen = _two_site_unitary()
+    rho0 = localized_state(g, 0)
+    record = MeasurementRecord((0.5,), (0,))
+    with mock.patch.object(Superoperator, "expm_apply",
+                           lambda self, t, x: np.diag([1.5, -0.5]).astype(complex)):
+        with pytest.raises(ArithmeticError, match=r"\[0, 1\]"):
+            multi_time_prob(gen, rho0, record)
+    with mock.patch.object(Superoperator, "expm_apply",
+                           lambda self, t, x: np.diag([1.0 + 1e-13, 0.0]).astype(complex)):
+        assert multi_time_prob(gen, rho0, record) == 1.0
+    with mock.patch.object(Superoperator, "expm_apply",
+                           lambda self, t, x: np.diag([0.5 + 1e-6j, 0.5]).astype(complex)):
+        with pytest.raises(ArithmeticError, match="imaginary"):
+            multi_time_prob(gen, rho0, record)
+
+
 def test_multi_time_outcome_range_check():
     g, gen = _two_site_unitary()
     with pytest.raises(ValueError, match="range"):
@@ -108,13 +126,13 @@ def test_one_time_probs_match_populations():
     g = build_graph("cycle", 4)
     gen = make_generator(g, EvolutionModel.site_dephasing(0.6))
     rho0 = localized_state(g, 2)
-    p0 = one_time_probs(gen, rho0, 0.0)
-    assert np.abs(p0.probs - np.eye(4)[2]).max() < 1e-12
-    pt = one_time_probs(gen, rho0, 1.2)
-    assert abs(pt.probs.sum() - 1.0) < 1e-12
+    p0 = propagate(gen, rho0, 0.0).populations()
+    assert np.abs(p0 - np.eye(4)[2]).max() < 1e-12
+    pt = propagate(gen, rho0, 1.2).populations()
+    assert abs(pt.sum() - 1.0) < 1e-12
     singles = [multi_time_prob(gen, rho0, MeasurementRecord((1.2,), (x,)))
                for x in range(4)]
-    assert np.abs(pt.probs - singles).max() < 1e-10
+    assert np.abs(pt - singles).max() < 1e-10
 
 
 # --- K(s, t) -------------------------------------------------------------------
@@ -158,7 +176,7 @@ def test_k_equals_explicit_marginalization():
     rho0 = localized_state(g, 1)
     s, t = 0.6, 1.4
     total = 0.0
-    pt = one_time_probs(gen, rho0, t).probs
+    pt = propagate(gen, rho0, t).populations()
     for x in range(3):
         marginal = sum(
             multi_time_prob(gen, rho0, MeasurementRecord((s, t), (y, x)))
@@ -237,7 +255,7 @@ def test_kbar_validation():
         with pytest.raises(ValueError, match="finite"):
             k_slice(g, EvolutionModel.unitary(), 0, bad, 4)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        KbarCurve(times=np.array([1.0, 2.0]), values=np.array([0.5, np.nan]), quad_points=3)
+        KbarCurve(times=np.array([1.0, 2.0]), values=np.array([0.5, np.nan]))
 
 
 def test_kbar_curve_vanishes_toward_t0():
@@ -619,7 +637,7 @@ def test_overlap_matrix_symmetric_doubly_stochastic():
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 10])
 def test_asymptotic_values_complete(n):
     g = build_graph("complete", n)
-    value = asymptotic_kbar_energy(g, g.spectrum, 0)
+    value = asymptotic_kbar_energy(g, 0)
     assert abs(value - 2 * (n - 1) * (n - 2) / n**3) < 1e-12
 
 
@@ -627,28 +645,28 @@ def test_asymptotic_values_complete(n):
 def test_asymptotic_values_cycle(n):
     g = build_graph("cycle", n)
     expected = (n - 1) ** 2 / n**3 if n % 2 else 2 * (n - 2) ** 2 / n**3
-    assert abs(asymptotic_kbar_energy(g, g.spectrum, 0) - expected) < 1e-12
+    assert abs(asymptotic_kbar_energy(g, 0) - expected) < 1e-12
 
 
 def test_asymptotic_values_path3():
     g = build_graph("path", 3)
-    assert abs(asymptotic_kbar_energy(g, g.spectrum, 0) - 2 / 27) < 1e-12
-    assert abs(asymptotic_kbar_energy(g, g.spectrum, 1) - 4 / 27) < 1e-12
-    assert abs(asymptotic_kbar_energy(g, g.spectrum, 2) - 2 / 27) < 1e-12
+    assert abs(asymptotic_kbar_energy(g, 0) - 2 / 27) < 1e-12
+    assert abs(asymptotic_kbar_energy(g, 1) - 4 / 27) < 1e-12
+    assert abs(asymptotic_kbar_energy(g, 2) - 2 / 27) < 1e-12
 
 
-def test_asymptotic_rejects_mismatched_spectrum():
-    g = build_graph("complete", 4)
-    wrong = spectral_decompose(build_graph("cycle", 4).laplacian)
-    with pytest.raises(ValueError, match="does not match"):
-        asymptotic_kbar_energy(g, wrong, 0)
+def test_asymptotic_rejects_node_outside_the_graph():
+    g = build_graph("path", 3)
+    for node in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            asymptotic_kbar_energy(g, node)
 
 
 @pytest.mark.parametrize("topology,n", [("complete", 4), ("cycle", 5), ("cycle", 6)])
 def test_energy_dephasing_long_time_limit(topology, n):
     g = build_graph(topology, n)
     model = EvolutionModel.energy_dephasing(1.0)
-    target = asymptotic_kbar_energy(g, g.spectrum, 0)
+    target = asymptotic_kbar_energy(g, 0)
     curve = kbar_curve(g, model, 0, [400.0], quad_points=801)
     assert abs(curve.values[0] - target) < 2e-2
 
@@ -758,10 +776,10 @@ def test_translation_covariance(topology):
     s, t = 0.4, 1.3
     k_ref = kolmogorov_k(gen, localized_state(g, 0), s, t)
     kbar_ref = kbar(gen, localized_state(g, 0), t)
-    probs_ref = one_time_probs(gen, localized_state(g, 0), t).probs
+    probs_ref = propagate(gen, localized_state(g, 0), t).populations()
     for nu in range(1, n):
         rho = localized_state(g, nu)
         assert abs(kolmogorov_k(gen, rho, s, t) - k_ref) < 1e-10
         assert abs(kbar(gen, rho, t) - kbar_ref) < 1e-10
-        probs = one_time_probs(gen, rho, t).probs
+        probs = propagate(gen, rho, t).populations()
         assert np.abs(np.roll(probs, -nu) - probs_ref).max() < 1e-10
