@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .graphs import Graph, SpectralDecomposition
 from .linalg import (HERMITICITY_TOL, IMAG_TOL, PROB_TOL, STATE_PSD_TOL, STATIONARY_TOL,
@@ -246,7 +245,9 @@ class Propagator:
     own: spectral ``e^{-iLt}`` (unitary), the eigenspace closed form (energy
     dephasing) or the superoperator exponential (site dephasing, custom).
     :meth:`_populations` feeds K(s, t) profiles: the Laplacian eigenbasis for
-    unitary and energy dephasing, the superoperator otherwise.
+    unitary and energy dephasing, the superoperator otherwise. On a
+    near-defective generator both superoperator routes take its one Pade
+    exponential, a real matrix in Hermitian coordinates.
     """
 
     def __init__(self, graph: Graph, model: EvolutionModel):
@@ -328,9 +329,10 @@ def _superop_populations(generator: Superoperator, rho0: np.ndarray, s: np.ndarr
 
     With ``d`` the diagonal positions under column stacking,
     ``p = V_d (e^{ws} o V^-1 vec rho0)`` and ``G(s) P = V_d (e^{ws} o V^-1[:, d] P)``.
-    Where the diagonalization is untrustworthy, one Pade exponential in real
-    Hermitian coordinates steps along the grid, carrying rho0 and the n site
-    projectors (the columns of G).
+    Where the diagonalization is untrustworthy, the generator's one Pade
+    exponential (``Superoperator._expm_matrix``, real in Hermitian
+    coordinates, as for states) steps along the grid, carrying rho0 and the
+    n site projectors (the columns of G).
     """
     n = generator.dim
     d = np.arange(n) * (n + 1)
@@ -342,7 +344,7 @@ def _superop_populations(generator: Superoperator, rho0: np.ndarray, s: np.ndarr
         p = vd @ (e * (vinv @ vec(rho0))[:, None])
         return p.T, lambda pops: (vd @ (e * (vinv_d @ pops.T))).T
 
-    step = scipy.linalg.expm(generator.real_form * s[1])
+    step = generator._expm_matrix(s[1])
     b = np.zeros((n * n, n + 1))
     b[:n, :n] = np.eye(n)
     b[:, n] = hermitian_coords(rho0)

@@ -14,7 +14,9 @@ Vectorization convention (shared by every module): column stacking,
 has matrix ``kron(B.T, A)``. Hermitian matrices also have real
 coordinates ``r`` with ``vec(X) = T r`` for the unitary ``T`` of
 :func:`hermitian_basis`; a map that preserves Hermiticity is a real
-matrix in them (:attr:`Superoperator.real_form`).
+matrix in them (:attr:`Superoperator.real_form`). The Pade fallback
+therefore takes one real exponential of it, for states and K(s, t)
+profiles alike.
 """
 from __future__ import annotations
 
@@ -111,12 +113,23 @@ def _hermitian_rows(b: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def _hermitian_cols(r: np.ndarray, dim: int) -> np.ndarray:
+    """``hermitian_basis(dim) @ r``, the inverse of :func:`_hermitian_rows`."""
+    diag, xy, yx = _hermitian_pairs(dim)
+    re, im = np.sqrt(0.5) * r[dim::2], np.sqrt(0.5) * r[dim + 1::2]
+    out = np.empty(r.shape, dtype=np.complex128)
+    out[diag] = r[:dim]
+    out[xy] = re + 1j * im
+    out[yx] = re - 1j * im
+    return out
+
+
 def _matvecs(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``a @ r`` for each row r of ``rows``, one matrix-vector product per row.
 
     One product with all rows at once would round differently. A row that is
-    a unit vector e_j (the vec of a site projector) takes column j of ``a``,
-    which is what its product gives, bit for bit.
+    a unit vector e_j (a site projector, in vec or Hermitian coordinates)
+    takes column j of ``a``, which is what its product gives, bit for bit.
     """
     out = np.empty((len(rows), a.shape[0]), dtype=np.complex128)
     for i, r in enumerate(rows):
@@ -175,12 +188,14 @@ class Superoperator:
     of its matrix the first time a semigroup action ``e^{Lt}`` is needed;
     if the matrix is too close to defective for the factorization to be
     trustworthy (reconstruction residual above ``SPECTRAL_RESIDUAL_TOL``
-    relative), actions fall back to a dense Pade exponential per call
-    (:meth:`_expm_matrix`). :meth:`expm_apply` acts
-    on one matrix or on a (k, n, n) stack, such as the n start states of
-    ``dqc`` at one time. :attr:`real_form` is the same map as a real matrix
-    in the Hermitian coordinates of :func:`hermitian_basis`, built once on
-    first use; K(s, t) profiles on near-defective generators step in it.
+    relative), actions fall back to one dense Pade exponential per call
+    (:meth:`_expm_matrix`) of :attr:`real_form`, the same map as a real
+    matrix in the Hermitian coordinates of :func:`hermitian_basis`, built
+    once on first use. A map without a real form (one that does not
+    preserve Hermiticity) has no Pade fallback. :meth:`expm_apply` acts on
+    one matrix or on a (k, n, n) stack, such as the n start states of
+    ``dqc`` at one time; K(s, t) profiles on near-defective generators step
+    with the same exponential.
     """
 
     def __init__(self, dim: int, matrix: np.ndarray):
@@ -235,8 +250,8 @@ class Superoperator:
         return _as_readonly(m.real)
 
     def _expm_matrix(self, t: float) -> np.ndarray:
-        """Dense ``e^{Lt}``: the Pade fallback's one exponential per call."""
-        return scipy.linalg.expm(self.matrix * t)
+        """``e^{Rt}`` for R = :attr:`real_form`: the Pade fallback's one real exponential."""
+        return scipy.linalg.expm(self.real_form * t)
 
     def expm_apply(self, t: float, matrix: np.ndarray) -> np.ndarray:
         """Apply ``e^{Lt}`` to an n x n matrix or to each matrix of a (k, n, n) stack.
@@ -256,7 +271,10 @@ class Superoperator:
             w, v, vinv = spectral
             out = _matvecs(v, np.exp(w * t) * _matvecs(vinv, v0))
         else:
-            out = _matvecs(self._expm_matrix(t), v0)
+            # X = A + iB with A, B Hermitian has coordinates T^H vec X = a + ib,
+            # a and b real; e^{Lt} preserves Hermiticity, so it maps them by e^{Rt}
+            c = _hermitian_rows(v0.T, n).T
+            out = _hermitian_cols(_matvecs(self._expm_matrix(t), c).T, n).T
         return out.reshape(x.shape).swapaxes(-1, -2)
 
 

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctqwalk import (
     EvolutionModel,
@@ -12,7 +16,8 @@ from ctqwalk import (
     vec,
     vectorize_lindblad,
 )
-from ctqwalk.linalg import MAX_SUPEROPERATOR_DIM, hermitian_basis, hermitian_coords
+from ctqwalk.linalg import (MAX_SUPEROPERATOR_DIM, _hermitian_cols, _hermitian_rows,
+                            hermitian_basis, hermitian_coords)
 from conftest import apply_map, random_density, random_hermitian
 
 
@@ -195,7 +200,9 @@ def test_real_form_matches_the_dense_product(rng):
 
 def test_expm_apply_stack_is_each_matrix_on_its_own(rng):
     # each matrix of a stack takes its own products; a site projector takes a
-    # column of V^{-1} (or of the Pade exponential), equal to the product
+    # column of V^{-1} (or of the Pade exponential), equal to the product.
+    # The Pade route maps the Hermitian coordinates a + ib of X = A + iB
+    # (A, B Hermitian) by the real e^{Rt}, R = real_form
     g = build_graph("cycle", 4)
     stack = np.array([random_density(rng, 4), np.diag([0.0, 0.0, 1.0, 0.0]),
                       rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))])
@@ -208,12 +215,38 @@ def test_expm_apply_stack_is_each_matrix_on_its_own(rng):
             assert np.array_equal(_unvec(v @ (np.exp(w * 1.3) * (vinv @ vec(x))), 4), y)
     pade = make_generator(build_graph("cycle", 2), EvolutionModel.site_dephasing(4.0))
     assert pade.spectral_factors() is None
-    pair = np.array([np.diag([1.0, 0.0]), [[0.5, 0.2j], [-0.2j, 0.5]]], dtype=complex)
-    for x, y in zip(pair, pade.expm_apply(0.9, pair)):
-        assert np.array_equal(_unvec(scipy.linalg.expm(pade.matrix * 0.9) @ vec(x), 2), y)
-    assert np.array_equal(pade.expm_apply(0.0, pair), pair)
+    mats = np.array([np.diag([1.0, 0.0]), [[0.5, 0.2j], [-0.2j, 0.5]],
+                     [[0.3, 0.2 + 0.1j], [-0.4j, 0.7]]], dtype=complex)
+    step = scipy.linalg.expm(pade.real_form * 0.9)
+    for x, y in zip(mats, pade.expm_apply(0.9, mats)):
+        assert np.array_equal(pade.expm_apply(0.9, x), y)
+        assert np.array_equal(
+            _unvec(_hermitian_cols(step @ _hermitian_rows(vec(x), 2), 2), 2), y)
+        dense = _unvec(scipy.linalg.expm(pade.matrix * 0.9) @ vec(x), 2)
+        assert np.abs(dense - y).max() < 1e-14
+    assert np.array_equal(pade.expm_apply(0.0, mats), mats)
     with pytest.raises(ValueError, match="2x2"):
         pade.expm_apply(0.9, np.eye(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 3.0),
+       rates=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3))
+def test_forced_pade_expm_apply_matches_the_complex_exponential(n, seed, t, rates):
+    # random Lindblad maps with complex jumps, on Hermitian and non-Hermitian
+    # inputs: the real-form Pade route against the complex dense exponential
+    rng = np.random.default_rng(seed)
+    jumps = [(rate, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+             for rate in rates]
+    sup = vectorize_lindblad(random_hermitian(rng, n), jumps)
+    stack = np.array([random_density(rng, n), random_hermitian(rng, n),
+                      rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))])
+    dense = scipy.linalg.expm(sup.matrix * t)
+    with mock.patch.object(Superoperator, "spectral_factors", return_value=None):
+        out = sup.expm_apply(t, stack)
+    for x, y in zip(stack, out):
+        ref = _unvec(dense @ vec(x), n)
+        assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_semigroup_composition_law(rng):

@@ -4,6 +4,7 @@ import threading
 import time
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -41,7 +42,7 @@ from ctqwalk import (
 import ctqwalk.nonclassicality
 from ctqwalk.nonclassicality import (_dqc_distances, _k_from_diagonal, _simpson_mean,
                                      _start_states)
-from conftest import random_density
+from conftest import apply_map, random_density
 
 
 def _two_site_unitary():
@@ -208,6 +209,8 @@ def test_large_imaginary_parts_are_an_error_not_a_clip(rng, monkeypatch):
     monkeypatch.setattr(Superoperator, "spectral_factors", lambda self: None)
     with pytest.raises(ArithmeticError, match="Hermiticity"):
         kbar(broken, localized_state(g, 0), 1.0)
+    with pytest.raises(ArithmeticError, match="Hermiticity"):
+        broken.expm_apply(0.5, np.eye(2))
 
 
 # --- kbar ------------------------------------------------------------------------
@@ -564,6 +567,50 @@ def test_batched_dqc_matches_one_state_at_a_time(g, data):
         pade = dqc_curve(g, models[2], times)[1]
         assert np.array_equal(pade, _dqc_one_state_at_a_time(g, models[2], times))
     assert np.abs(pade - _dqc_dense_expm(g, models[2], times)).max() < 1e-6
+
+
+def _complete_dqc_oracle(n: int, times) -> np.ndarray:
+    """dqc on complete-n under site dephasing at gamma = 1, to 40 digits.
+
+    From node 0 the state stays in the span of |0><0|, sum_r |0><r|,
+    sum_r |r><0|, sum_r |r><r| and sum_{r != r'} |r><r'| (r, r' != 0), so a
+    5 x 5 exponential gives its coordinates (a, b, b*, c, d). The classical
+    walk has p_0 = 1/n + (1 - 1/n) e^{-nt} and p_r = (1 - p_0)/(n - 1). Then
+    sqrt(P) rho sqrt(P) has one 2 x 2 block on |0>, sum_r |r>/sqrt(n-1), whose
+    root eigenvalues sum to sqrt(tr + 2 sqrt(det)), and the eigenvalue
+    p_r (c - d) n - 2 times. Every node is equivalent, so dqc is 1 - F at node 0.
+    """
+    sup = make_generator(build_graph("complete", n), EvolutionModel.site_dephasing(1.0))
+    basis = np.zeros((5, n, n), dtype=complex)
+    basis[0, 0, 0] = basis[1, 0, 1:] = basis[2, 1:, 0] = 1.0
+    basis[3, 1:, 1:] = np.eye(n - 1)
+    basis[4, 1:, 1:] = 1.0 - np.eye(n - 1)
+    images = np.array([apply_map(sup, b) for b in basis])
+    gen = images[:, [0, 0, 1, 1, 1], [0, 1, 0, 1, 2]].T  # the coordinates of each image
+    assert np.array_equal(np.tensordot(gen.T, basis, 1), images)  # the span is closed
+    assert np.array_equal(gen, np.round(gen))  # and its entries are exact
+    out = []
+    with mp.workdps(40):
+        gen = mp.matrix([[mp.mpc(x.real, x.imag) for x in row] for row in gen])
+        for t in times:
+            t = mp.mpf(float(t))
+            a, b, _, c, d = mp.expm(gen * t) * mp.matrix([1, 0, 0, 0, 0])
+            p0 = mp.mpf(1) / n + (1 - mp.mpf(1) / n) * mp.exp(-n * t)
+            pr = (1 - p0) / (n - 1)
+            top, bottom = p0 * mp.re(a), pr * mp.re(c + (n - 2) * d)
+            det = top * bottom - p0 * pr * (n - 1) * abs(b) ** 2
+            roots = mp.sqrt(top + bottom + 2 * mp.sqrt(det)) + (n - 2) * mp.sqrt(pr * mp.re(c - d))
+            out.append(float(1 - roots ** 2))
+    return np.array(out)
+
+
+def test_pade_route_dqc_meets_a_40_digit_oracle():
+    # complete-16 at gamma = 1 takes the Pade route at every time
+    g, model = build_graph("complete", 16), EvolutionModel.site_dephasing(1.0)
+    assert make_generator(g, model).spectral_factors() is None
+    times = np.linspace(2.0, 20.0, 10)
+    values = dqc_curve(g, model, times)[1]
+    assert np.abs(values - _complete_dqc_oracle(16, times)).max() < 1e-12
 
 
 def test_dqc_complete_graph_tail():
