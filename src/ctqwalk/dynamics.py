@@ -245,9 +245,10 @@ class Propagator:
     own: spectral ``e^{-iLt}`` (unitary), the eigenspace closed form (energy
     dephasing) or the superoperator exponential (site dephasing, custom).
     :meth:`_populations` feeds K(s, t) profiles: the Laplacian eigenbasis for
-    unitary and energy dephasing, the superoperator otherwise. On a
-    near-defective generator both superoperator routes take its one Pade
-    exponential, a real matrix in Hermitian coordinates.
+    unitary and energy dephasing, the superoperator otherwise. Both
+    superoperator routes share its one eigendecomposition, behind two gates:
+    the residual for states, a population probe for K profiles. Where its
+    gate refuses, each takes the generator's one real Pade exponential.
     """
 
     def __init__(self, graph: Graph, model: EvolutionModel):
@@ -324,19 +325,44 @@ def _eigen_populations(spec: SpectralDecomposition, gamma: float, rho0: np.ndarr
             lambda pops: diagonals((pops @ m).reshape(q, n, n)))
 
 
+def _profile_factors(generator: Superoperator, rho0: np.ndarray):
+    """``(w, V, V^-1)`` of the generator if K profiles of rho0 may read them, else None.
+
+    Where the residual gate of :meth:`Superoperator.spectral_factors`
+    refuses the whole propagator, the factorization may still be accurate on
+    the columns a profile reads: the n site projectors and vec rho0, on the
+    population rows d. It is accepted if at each probe step h its
+    ``[G(h) | p(h)]`` is within ``PROB_TOL`` of the Pade exponential's.
+    """
+    factors = generator.spectral_factors()
+    if factors is not None or generator._eig is None:
+        return factors
+    w, v, vinv, _ = generator._eig
+    n = generator.dim
+    d = np.arange(n) * (n + 1)
+    cols = np.column_stack([vinv[:, d], vinv @ vec(rho0)])
+    r0 = hermitian_coords(rho0)
+    for h, rows in generator._probe_rows.items():
+        spectral = v[d] @ (np.exp(w * h)[:, None] * cols)
+        pade = np.column_stack([rows[:, :n], rows @ r0])
+        if not np.abs(spectral - pade).max() <= PROB_TOL:  # a NaN refuses too
+            return None
+    return w, v, vinv
+
+
 def _superop_populations(generator: Superoperator, rho0: np.ndarray, s: np.ndarray):
     """Populations through the superoperator ``L = V diag(w) V^-1``.
 
     With ``d`` the diagonal positions under column stacking,
     ``p = V_d (e^{ws} o V^-1 vec rho0)`` and ``G(s) P = V_d (e^{ws} o V^-1[:, d] P)``.
-    Where the diagonalization is untrustworthy, the generator's one Pade
-    exponential (``Superoperator._expm_matrix``, real in Hermitian
+    Where :func:`_profile_factors` refuses the factorization, the generator's
+    one Pade exponential (``Superoperator._expm_matrix``, real in Hermitian
     coordinates, as for states) steps along the grid, carrying rho0 and the
     n site projectors (the columns of G).
     """
     n = generator.dim
     d = np.arange(n) * (n + 1)
-    spectral = generator.spectral_factors()
+    spectral = _profile_factors(generator, rho0)
     if spectral is not None:
         w, v, vinv = spectral
         e = np.exp(np.outer(w, s))

@@ -17,6 +17,11 @@ coordinates ``r`` with ``vec(X) = T r`` for the unitary ``T`` of
 matrix in them (:attr:`Superoperator.real_form`). The Pade fallback
 therefore takes one real exponential of it, for states and K(s, t)
 profiles alike.
+
+A superoperator is eigendecomposed once, behind two gates: states take the
+factorization if it reconstructs the matrix to ``SPECTRAL_RESIDUAL_TOL``,
+K(s, t) profiles if the population columns they read meet the Pade
+exponential's to ``PROB_TOL`` at ``_PROBE_TIMES``.
 """
 from __future__ import annotations
 
@@ -37,9 +42,11 @@ PSD_TOL = 1e-10
 #: probabilities and real forms may carry at most this much imaginary noise;
 #: beyond it is an error
 IMAG_TOL = 1e-9
-#: a classical distribution may dip this far below 0, and its sum stray this far from 1
+#: a classical distribution may dip this far below 0, and its sum stray this far from 1;
+#: also the largest probe error at which a K profile takes the spectral route
 PROB_TOL = 1e-12
-#: diagonalization residual (relative) above which a superoperator takes the Pade route
+#: diagonalization residual (relative) above which state evolution takes the
+#: Pade route; K profiles are gated by the population probe instead
 SPECTRAL_RESIDUAL_TOL = 1e-12
 #: default absolute gap below which two eigenvalues are treated as degenerate
 DEGENERACY_TOL = 1e-8
@@ -49,6 +56,10 @@ STATIONARY_TOL = 1e-10
 #: largest Hilbert dimension given a superoperator: n = 32 is a 1024^2
 #: complex matrix (16 MiB), and every factorization of it is O(n^6)
 MAX_SUPEROPERATOR_DIM = 32
+
+#: steps h at which a K profile compares the spectral population columns with
+#: the Pade exponential's, to accept a factorization that the residual gate refused
+_PROBE_TIMES = (1.0, 10.0)
 
 
 class SuperoperatorSizeError(ValueError):
@@ -130,11 +141,17 @@ def _matvecs(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     One product with all rows at once would round differently. A row that is
     a unit vector e_j (a site projector, in vec or Hermitian coordinates)
     takes column j of ``a``, which is what its product gives, bit for bit.
+    A real ``a`` (the Pade exponential) takes the real and imaginary parts
+    of a complex row separately, rather than being cast to complex per row.
     """
+    real = np.isrealobj(a)
     out = np.empty((len(rows), a.shape[0]), dtype=np.complex128)
     for i, r in enumerate(rows):
         nz = np.flatnonzero(r)
-        out[i] = a[:, nz[0]] if len(nz) == 1 and r[nz[0]] == 1 else a @ r
+        if len(nz) == 1 and r[nz[0]] == 1:
+            out[i] = a[:, nz[0]]
+        else:
+            out[i] = a @ r.real + 1j * (a @ r.imag) if real else a @ r
     return out
 
 
@@ -184,18 +201,18 @@ def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
 class Superoperator:
     """Linear map on density matrices, stored as an n^2 x n^2 matrix.
 
-    Acts on column-stacked matrices. The class caches a diagonalization
-    of its matrix the first time a semigroup action ``e^{Lt}`` is needed;
-    if the matrix is too close to defective for the factorization to be
-    trustworthy (reconstruction residual above ``SPECTRAL_RESIDUAL_TOL``
-    relative), actions fall back to one dense Pade exponential per call
-    (:meth:`_expm_matrix`) of :attr:`real_form`, the same map as a real
-    matrix in the Hermitian coordinates of :func:`hermitian_basis`, built
-    once on first use. A map without a real form (one that does not
-    preserve Hermiticity) has no Pade fallback. :meth:`expm_apply` acts on
-    one matrix or on a (k, n, n) stack, such as the n start states of
-    ``dqc`` at one time; K(s, t) profiles on near-defective generators step
-    with the same exponential.
+    Acts on column-stacked matrices. The class caches one eigendecomposition
+    of its matrix (:attr:`_eig`) the first time it is needed. Where the
+    matrix is too close to defective for it to be trustworthy (residual
+    above ``SPECTRAL_RESIDUAL_TOL`` relative, the gate of
+    :meth:`spectral_factors`), actions fall back to one dense Pade
+    exponential per call (:meth:`_expm_matrix`) of :attr:`real_form`, the
+    same map as a real matrix in the Hermitian coordinates of
+    :func:`hermitian_basis`, built once on first use. A map without a real
+    form (one that does not preserve Hermiticity) has no Pade fallback.
+    K(s, t) profiles gate the factorization by a probe against
+    :attr:`_probe_rows` instead. :meth:`expm_apply` acts on one matrix or on
+    a (k, n, n) stack, such as the n start states of ``dqc`` at one time.
     """
 
     def __init__(self, dim: int, matrix: np.ndarray):
@@ -211,26 +228,33 @@ class Superoperator:
         return f"Superoperator(dim={self.dim})"
 
     @cached_property
-    def _spectral(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(eigenvalues, V, V^{-1}) if the diagonalization is reliable, else None."""
+    def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+        """The matrix's one eigensolve ``M = V diag(w) V^{-1}``, as ``(w, V, V^{-1},
+        residual)`` with the reconstruction residual relative to ``max(1, max|M|)``;
+        None if LAPACK fails. Both route gates read it, so replacing it by None
+        sends states and K profiles alike to the Pade route."""
         try:
             w, v = np.linalg.eig(self.matrix)
             vinv = np.linalg.inv(v)
         except np.linalg.LinAlgError:
             return None
         residual = np.abs((v * w) @ vinv - self.matrix).max()
-        if residual > SPECTRAL_RESIDUAL_TOL * max(1.0, np.abs(self.matrix).max()):
-            return None
-        return w, v, vinv
+        return w, v, vinv, residual / max(1.0, np.abs(self.matrix).max())
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        if self._spectral is not None:
-            return self._spectral[0]
-        return np.linalg.eigvals(self.matrix)
+        return np.linalg.eigvals(self.matrix) if self._eig is None else self._eig[0]
 
     def spectral_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        return self._spectral
+        """``(w, V, V^{-1})`` if the residual gate passes (the state route), else None."""
+        eig = self._eig
+        return None if eig is None or eig[3] > SPECTRAL_RESIDUAL_TOL else eig[:3]
+
+    @cached_property
+    def _probe_rows(self) -> dict[float, np.ndarray]:
+        """Population rows ``e^{Rh}[:n]`` of the Pade exponential at each of
+        :data:`_PROBE_TIMES`, for the K-profile probe of ``dynamics``."""
+        return {h: self._expm_matrix(h)[:self.dim] for h in _PROBE_TIMES}
 
     @cached_property
     def real_form(self) -> np.ndarray:

@@ -1,5 +1,10 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
+
+from ctqwalk import Superoperator
 
 
 @pytest.fixture
@@ -22,3 +27,24 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 def apply_map(sup, x: np.ndarray) -> np.ndarray:
     """A superoperator's map itself (not its exponential) on an n x n matrix."""
     return (sup.matrix @ x.flatten(order="F")).reshape(sup.dim, sup.dim, order="F")
+
+
+def expm_spy():
+    """Patch that records each ``Superoperator._expm_matrix(generator, t)`` call."""
+    return mock.patch.object(Superoperator, "_expm_matrix", autospec=True,
+                             side_effect=Superoperator._expm_matrix)
+
+
+@contextmanager
+def forced_pade():
+    """Send every superoperator to the Pade route, for states and K profiles
+    alike, even one whose eigendecomposition is already cached: both route
+    gates read ``Superoperator._eig``. Yields an :func:`expm_spy`."""
+    with mock.patch.object(Superoperator, "_eig", property(lambda self: None)), \
+            expm_spy() as spy:
+        yield spy
+
+
+def expm_steps(spy) -> list[float]:
+    """The times of the exponentials an :func:`expm_spy` saw."""
+    return [c.args[1] for c in spy.call_args_list]

@@ -20,7 +20,7 @@ from ctqwalk import (
     spectral_decompose,
     spectral_gap,
 )
-from conftest import apply_map, random_density
+from conftest import apply_map, expm_steps, forced_pade, random_density
 
 
 def _models(gamma=0.8):
@@ -432,11 +432,12 @@ def test_propagator_stack_is_each_state_on_its_own(rng):
         evolved = prop.density(states, 1.1)
         for x, y in zip(states.matrix, evolved.matrix):
             assert np.array_equal(prop.density(DensityMatrix(x), 1.1).matrix, y)
-    with mock.patch.object(Superoperator, "spectral_factors", return_value=None):
+    with forced_pade() as spy:
         prop = Propagator(g, _models()[1])
         out = prop.evolve_matrix(stack, 0.4)
         for x, y in zip(stack, out):
             assert np.array_equal(prop.evolve_matrix(x, 0.4), y)
+    assert expm_steps(spy) == [0.4] * 4
 
 
 def test_propagator_dispatch_consistency():

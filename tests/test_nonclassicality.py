@@ -2,6 +2,7 @@ import itertools
 import os
 import threading
 import time
+from functools import partial
 from unittest import mock
 
 import mpmath as mp
@@ -40,9 +41,10 @@ from ctqwalk import (
     spectral_decompose,
 )
 import ctqwalk.nonclassicality
-from ctqwalk.nonclassicality import (_dqc_distances, _k_from_diagonal, _simpson_mean,
+from ctqwalk.dynamics import _profile_factors, _superop_populations
+from ctqwalk.nonclassicality import (_dqc_distances, _k_from_diagonal, _k_profile, _simpson_mean,
                                      _start_states)
-from conftest import apply_map, random_density
+from conftest import apply_map, expm_spy, expm_steps, forced_pade, random_density
 
 
 def _two_site_unitary():
@@ -197,7 +199,7 @@ def test_k_rejects_reversed_times():
             kolmogorov_k(gen, localized_state(g, 0), 0.5, bad)
 
 
-def test_large_imaginary_parts_are_an_error_not_a_clip(rng, monkeypatch):
+def test_large_imaginary_parts_are_an_error_not_a_clip(rng):
     # a map that does not preserve Hermiticity leaves large imaginary
     # diagonals; that must raise rather than be silently clipped
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -206,11 +208,11 @@ def test_large_imaginary_parts_are_an_error_not_a_clip(rng, monkeypatch):
     with pytest.raises(ArithmeticError, match="imaginary"):
         kolmogorov_k(broken, localized_state(g, 0), 0.5, 1.0)
     # the Pade branch works in real Hermitian coordinates, which such a map has not
-    monkeypatch.setattr(Superoperator, "spectral_factors", lambda self: None)
-    with pytest.raises(ArithmeticError, match="Hermiticity"):
-        kbar(broken, localized_state(g, 0), 1.0)
-    with pytest.raises(ArithmeticError, match="Hermiticity"):
-        broken.expm_apply(0.5, np.eye(2))
+    with forced_pade():
+        with pytest.raises(ArithmeticError, match="Hermiticity"):
+            kbar(broken, localized_state(g, 0), 1.0)
+        with pytest.raises(ArithmeticError, match="Hermiticity"):
+            broken.expm_apply(0.5, np.eye(2))
 
 
 # --- kbar ------------------------------------------------------------------------
@@ -319,7 +321,7 @@ def test_k_and_kbar_outside_the_unit_interval_raise():
     assert _simpson_mean(np.full(5, -1e-13), 1.0) == 0.0
 
 
-def test_kbar_curve_model_routes_agree(rng, monkeypatch):
+def test_kbar_curve_model_routes_agree(rng):
     # n-space eigenbasis kernel vs superoperator route, K and kbar
     irregular = np.zeros((6, 6), dtype=int)
     for j, k in ((0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)):
@@ -362,11 +364,12 @@ def test_kbar_curve_model_routes_agree(rng, monkeypatch):
         mixed = DensityMatrix(random_density(rng, g.n))  # complex coherences
         s_vals, spectral = k_slice(g, model, node, 1.7, 12)
         curve = kbar_curve(g, model, node, times)
-        with monkeypatch.context() as patched:
-            patched.setattr(Superoperator, "spectral_factors", lambda self: None)
+        with forced_pade() as spy:
             pade = k_slice(g, model, node, 1.7, 12)[1]
             pade_curve = kbar_curve(g, model, node, times)
-            pade_mixed = kbar(gen, mixed, 1.7)
+            pade_mixed = kbar(gen, mixed, 1.7)  # gen's factorization is cached
+        # each profile really stepped with the Pade exponential of its grid step
+        assert expm_steps(spy) == [s_vals[1]] + [t / 200 for t in times] + [1.7 / 200]
         assert np.abs(pade - spectral).max() < 1e-10
         assert np.abs(pade_curve.values - curve.values).max() < 1e-10
         assert abs(pade_mixed - kbar(gen, mixed, 1.7)) < 1e-10
@@ -405,8 +408,9 @@ def test_routes_agree_on_random_connected_graphs(g, data):
         assert np.abs(k_vals - ref).max() < 1e-10, model.kind
     # superoperator spectral profile vs the Pade profile, forced on
     spectral = k_slice(g, models[2], node, t, 8)[1]
-    with mock.patch.object(Superoperator, "spectral_factors", return_value=None):
-        pade = k_slice(g, models[2], node, t, 8)[1]
+    with forced_pade() as spy:
+        s_vals, pade = k_slice(g, models[2], node, t, 8)
+    assert expm_steps(spy) == [s_vals[1]]
     assert np.abs(spectral - pade).max() < 1e-10
     for model in models:
         tau = data.draw(st.floats(0.0, 10.0), label="tau")
@@ -563,22 +567,19 @@ def test_batched_dqc_matches_one_state_at_a_time(g, data):
         batched = dqc_curve(g, model, times)[1]
         assert np.array_equal(batched, _dqc_one_state_at_a_time(g, model, times)), model.kind
         assert np.abs(batched - _dqc_dense_expm(g, model, times)).max() < 1e-6, model.kind
-    with mock.patch.object(Superoperator, "spectral_factors", return_value=None):
+    with forced_pade():
         pade = dqc_curve(g, models[2], times)[1]
         assert np.array_equal(pade, _dqc_one_state_at_a_time(g, models[2], times))
     assert np.abs(pade - _dqc_dense_expm(g, models[2], times)).max() < 1e-6
 
 
-def _complete_dqc_oracle(n: int, times) -> np.ndarray:
-    """dqc on complete-n under site dephasing at gamma = 1, to 40 digits.
+def _complete_sector_generator(n: int):
+    """Complete-n site dephasing at gamma = 1 on the sector of node 0, as a 5 x 5 mp matrix.
 
     From node 0 the state stays in the span of |0><0|, sum_r |0><r|,
     sum_r |r><0|, sum_r |r><r| and sum_{r != r'} |r><r'| (r, r' != 0), so a
-    5 x 5 exponential gives its coordinates (a, b, b*, c, d). The classical
-    walk has p_0 = 1/n + (1 - 1/n) e^{-nt} and p_r = (1 - p_0)/(n - 1). Then
-    sqrt(P) rho sqrt(P) has one 2 x 2 block on |0>, sum_r |r>/sqrt(n-1), whose
-    root eigenvalues sum to sqrt(tr + 2 sqrt(det)), and the eigenvalue
-    p_r (c - d) n - 2 times. Every node is equivalent, so dqc is 1 - F at node 0.
+    5 x 5 exponential of the returned matrix, applied to (1, 0, 0, 0, 0),
+    gives its coordinates (a, b, b*, c, d).
     """
     sup = make_generator(build_graph("complete", n), EvolutionModel.site_dephasing(1.0))
     basis = np.zeros((5, n, n), dtype=complex)
@@ -589,9 +590,22 @@ def _complete_dqc_oracle(n: int, times) -> np.ndarray:
     gen = images[:, [0, 0, 1, 1, 1], [0, 1, 0, 1, 2]].T  # the coordinates of each image
     assert np.array_equal(np.tensordot(gen.T, basis, 1), images)  # the span is closed
     assert np.array_equal(gen, np.round(gen))  # and its entries are exact
+    return mp.matrix([[mp.mpc(x.real, x.imag) for x in row] for row in gen])
+
+
+def _complete_dqc_oracle(n: int, times) -> np.ndarray:
+    """dqc on complete-n under site dephasing at gamma = 1, to 40 digits.
+
+    The state from node 0 has sector coordinates (a, b, b*, c, d)
+    (:func:`_complete_sector_generator`). The classical
+    walk has p_0 = 1/n + (1 - 1/n) e^{-nt} and p_r = (1 - p_0)/(n - 1). Then
+    sqrt(P) rho sqrt(P) has one 2 x 2 block on |0>, sum_r |r>/sqrt(n-1), whose
+    root eigenvalues sum to sqrt(tr + 2 sqrt(det)), and the eigenvalue
+    p_r (c - d) n - 2 times. Every node is equivalent, so dqc is 1 - F at node 0.
+    """
     out = []
     with mp.workdps(40):
-        gen = mp.matrix([[mp.mpc(x.real, x.imag) for x in row] for row in gen])
+        gen = _complete_sector_generator(n)
         for t in times:
             t = mp.mpf(float(t))
             a, b, _, c, d = mp.expm(gen * t) * mp.matrix([1, 0, 0, 0, 0])
@@ -611,6 +625,88 @@ def test_pade_route_dqc_meets_a_40_digit_oracle():
     times = np.linspace(2.0, 20.0, 10)
     values = dqc_curve(g, model, times)[1]
     assert np.abs(values - _complete_dqc_oracle(16, times)).max() < 1e-12
+
+
+def _complete_k_oracle(n: int, t: float, s_points: int) -> np.ndarray:
+    """K(s, t) from node 0 on complete-n under site dephasing at gamma = 1,
+    to 40 digits, on ``linspace(0, t, s_points + 1)``.
+
+    By symmetry p(s) = (a(s), c(s), ..., c(s)) with c = (1 - a)/(n - 1), and
+    G(tau) has diagonal a(tau) and off-diagonal (1 - a(tau))/(n - 1), with
+    a(tau) the return population of the sector exponential.
+    """
+    with mp.workdps(40):
+        gen = _complete_sector_generator(n)
+        step = mp.expm(gen * (mp.mpf(float(t)) / s_points))
+        x, a = mp.matrix([1, 0, 0, 0, 0]), []
+        for _ in range(s_points + 1):
+            a.append(mp.re(x[0]))
+            x = step * x
+        out = []
+        for k in range(s_points + 1):
+            stay, a_s = a[s_points - k], a[k]  # t - s_k = s_{points-k}
+            hop, c_s = (1 - stay) / (n - 1), (1 - a_s) / (n - 1)
+            to_0 = stay * a_s + (n - 1) * hop * c_s
+            to_r = hop * a_s + (stay + (n - 2) * hop) * c_s
+            c_t = (1 - a[-1]) / (n - 1)
+            out.append(float((abs(a[-1] - to_0) + (n - 1) * abs(c_t - to_r)) / 2))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("topology,gamma", [("complete", 0.5), ("complete", 1.0),
+                                            ("complete", 50.0), ("cycle", 1.0),
+                                            ("path", 1.0)])
+def test_probed_spectral_profiles_match_forced_pade(topology, gamma):
+    # complete-16 at gamma = 0.5 and 1 fails the residual gate, so its
+    # profiles take the factorization only through the population probe;
+    # the others pass the gate and take it without probing
+    g, model = build_graph(topology, 16), EvolutionModel.site_dephasing(gamma)
+    gen = make_generator(g, model)
+    probed = gen.spectral_factors() is None
+    assert probed == (topology == "complete" and gamma < 10)
+    times = [0.3, 4.0, 25.0]
+    with expm_spy() as spy:
+        s_vals, spectral = k_slice(g, model, 0, 4.0, 16)
+        curve = kbar_curve(g, model, 0, times, quad_points=41)
+    # a probe takes two exponentials per generator, at its fixed steps, and no Pade step
+    assert expm_steps(spy) == ([1.0, 10.0] * 2 if probed else [])
+    with forced_pade() as spy:
+        pade = k_slice(g, model, 0, 4.0, 16)[1]
+        pade_curve = kbar_curve(g, model, 0, times, quad_points=41)
+    assert expm_steps(spy) == [s_vals[1]] + [t / 40 for t in times]
+    assert np.abs(spectral - pade).max() < 1e-12
+    assert np.abs(curve.values - pade_curve.values).max() < 1e-12
+
+
+def test_complete_graph_k_meets_a_40_digit_oracle_on_both_routes():
+    g, model = build_graph("complete", 16), EvolutionModel.site_dephasing(1.0)
+    assert make_generator(g, model).spectral_factors() is None  # the residual gate fails
+    for t in (0.7, 3.0, 15.0):
+        oracle = _complete_k_oracle(16, t, 12)
+        assert np.abs(k_slice(g, model, 0, t, 12)[1] - oracle).max() < 1e-12
+        with forced_pade():
+            assert np.abs(k_slice(g, model, 0, t, 12)[1] - oracle).max() < 1e-12
+
+
+def test_probe_sends_a_coherent_start_to_pade():
+    # the full spectral propagator of complete-16 at gamma = 1 is ~1e-9 off;
+    # the probe sees it in the coherent column (|0> + |1>)/sqrt2 and refuses
+    g, model = build_graph("complete", 16), EvolutionModel.site_dephasing(1.0)
+    gen = make_generator(g, model)
+    psi = np.zeros(16)
+    psi[:2] = np.sqrt(0.5)
+    rho0 = DensityMatrix(np.outer(psi, psi).astype(complex))
+    assert _profile_factors(gen, rho0.matrix) is None
+    assert _profile_factors(gen, localized_state(g, 0).matrix) is not None
+    t, q = 3.0, 9
+    profile = _k_profile(partial(_superop_populations, gen), rho0.matrix, t, q)
+    with forced_pade():
+        pade = _k_profile(partial(_superop_populations, gen), rho0.matrix, t, q)
+        pade_mean = kbar(gen, rho0, t)
+    assert np.array_equal(profile, pade)
+    assert kbar(gen, rho0, t) == pade_mean
+    ref = [kolmogorov_k(gen, rho0, s, t) for s in np.linspace(0.0, t, q)]
+    assert np.abs(profile - ref).max() < 1e-10
 
 
 def test_dqc_complete_graph_tail():
