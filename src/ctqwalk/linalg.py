@@ -211,7 +211,8 @@ class Superoperator:
     :func:`hermitian_basis`, built once on first use. A map without a real
     form (one that does not preserve Hermiticity) has no Pade fallback.
     K(s, t) profiles gate the factorization by a probe against
-    :attr:`_probe_rows` instead. :meth:`expm_apply` acts on one matrix or on
+    :attr:`_probe_rows` instead, whose site-projector half it caches
+    (:attr:`_probe_sites`). :meth:`expm_apply` acts on one matrix or on
     a (k, n, n) stack, such as the n start states of ``dqc`` at one time.
     """
 
@@ -255,6 +256,17 @@ class Superoperator:
         """Population rows ``e^{Rh}[:n]`` of the Pade exponential at each of
         :data:`_PROBE_TIMES`, for the K-profile probe of ``dynamics``."""
         return {h: self._expm_matrix(h)[:self.dim] for h in _PROBE_TIMES}
+
+    @cached_property
+    def _probe_sites(self) -> bool:
+        """Whether the factorization's ``G(h) = V_d e^{wh} V^{-1}[:, d]`` (d the
+        population rows) meets :attr:`_probe_rows` within ``PROB_TOL`` at every
+        probe step: the part of the K-profile probe that no start state changes."""
+        w, v, vinv, _ = self._eig
+        n = self.dim
+        d = np.arange(n) * (n + 1)
+        return all(np.abs(v[d] @ (np.exp(w * h)[:, None] * vinv[:, d]) - rows[:, :n]).max()
+                   <= PROB_TOL for h, rows in self._probe_rows.items())  # a NaN refuses too
 
     @cached_property
     def real_form(self) -> np.ndarray:

@@ -19,7 +19,10 @@ from ctqwalk import (
     propagate_energy_closed_form,
     spectral_decompose,
     spectral_gap,
+    vectorize_lindblad,
 )
+from ctqwalk.dynamics import _exp_grid, _superop_populations
+from ctqwalk.linalg import SuperoperatorSizeError
 from conftest import apply_map, expm_steps, forced_pade, random_density
 
 
@@ -156,6 +159,65 @@ def test_energy_dephasing_preserves_eigenprojectors():
     for k in range(3):
         p = np.outer(spec.eigenvectors[:, k], spec.eigenvectors[:, k].conj())
         assert np.abs(apply_map(gen, p)).max() < 1e-12
+
+
+def _jump_list_site_dephasing(g: Graph, gamma: float) -> Superoperator:
+    """Site dephasing as the general Lindblad sum over the n site projectors."""
+    jumps = []
+    for k in range(g.n):
+        proj = np.zeros((g.n, g.n))
+        proj[k, k] = 1.0
+        jumps.append((gamma, proj))
+    return vectorize_lindblad(g.laplacian, jumps)
+
+
+@pytest.mark.parametrize("topology", ["cycle", "path", "complete"])
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_site_dephasing_generator_is_the_jump_list_sum_bit_for_bit(topology, n):
+    g = build_graph(topology, n)
+    for gamma in (0.5, 1.0, 50.0, 1.0370370370370372):
+        gen = make_generator(g, EvolutionModel.site_dephasing(gamma))
+        ref = _jump_list_site_dephasing(g, gamma)
+        assert np.array_equal(gen.matrix.view(np.uint64), ref.matrix.view(np.uint64))
+        if n == 16:  # so the factorization, and with it every state, is unchanged
+            for a, b in zip(gen._eig, ref._eig):
+                assert np.array_equal(np.asarray(a).view(np.uint64),
+                                      np.asarray(b).view(np.uint64))
+
+
+def test_site_dephasing_generator_takes_only_the_coherent_krons():
+    g = build_graph("cycle", 16)
+    with mock.patch.object(np, "kron", wraps=np.kron) as spy:
+        make_generator(g, EvolutionModel.site_dephasing(1.0))
+    assert spy.call_count <= 2
+    with pytest.raises(SuperoperatorSizeError):
+        make_generator(build_graph("cycle", 33), EvolutionModel.site_dephasing(1.0))
+
+
+# --- K-profile populations ----------------------------------------------------
+
+@pytest.mark.parametrize("topology,gamma", [("cycle", 1.0), ("complete", 50.0)])
+def test_exp_grid_meets_the_full_table(topology, gamma):
+    tiny = np.finfo(float).tiny
+    w = make_generator(build_graph(topology, 16), EvolutionModel.site_dephasing(gamma))._eig[0]
+    for t in (0.2, 7.3, 20.0):
+        for q in (3, 5, 201):
+            s = np.linspace(0.0, t, q)
+            exact, e = np.exp(np.outer(w, s)), _exp_grid(w, s)
+            big, gone = np.abs(exact) >= 1e-150, np.abs(exact) < tiny
+            assert (np.abs(e - exact)[big] <= 1e-13 * np.abs(exact[big])).all()
+            assert (e[gone] == 0).all()
+            assert (np.abs(e - exact)[~big] < 1e-150).all()
+            assert not ((0 < np.abs(e)) & (np.abs(e) < tiny)).any()  # no subnormal survives
+
+
+def test_superop_populations_never_exponentiate_the_full_table():
+    g, q = build_graph("cycle", 16), 201
+    gen = make_generator(g, EvolutionModel.site_dephasing(1.0))
+    with mock.patch.object(np, "exp", wraps=np.exp) as spy:
+        _superop_populations(gen, localized_state(g, 0).matrix, np.linspace(0.0, 7.3, q))
+    sizes = [np.size(c.args[0]) for c in spy.call_args_list]
+    assert sizes and sum(sizes) < g.n ** 2 * q / 4
 
 
 # --- propagate ----------------------------------------------------------------

@@ -2,7 +2,7 @@ import itertools
 import os
 import threading
 import time
-from functools import partial
+from functools import cached_property, partial
 from unittest import mock
 
 import mpmath as mp
@@ -697,6 +697,7 @@ def test_probe_sends_a_coherent_start_to_pade():
     psi[:2] = np.sqrt(0.5)
     rho0 = DensityMatrix(np.outer(psi, psi).astype(complex))
     assert _profile_factors(gen, rho0.matrix) is None
+    assert gen._probe_sites  # refused by its own column, not by the cached site columns
     assert _profile_factors(gen, localized_state(g, 0).matrix) is not None
     t, q = 3.0, 9
     profile = _k_profile(partial(_superop_populations, gen), rho0.matrix, t, q)
@@ -707,6 +708,26 @@ def test_probe_sends_a_coherent_start_to_pade():
     assert kbar(gen, rho0, t) == pade_mean
     ref = [kolmogorov_k(gen, rho0, s, t) for s in np.linspace(0.0, t, q)]
     assert np.abs(profile - ref).max() < 1e-10
+
+
+def test_probe_compares_the_site_columns_once_per_generator():
+    g, model = build_graph("complete", 16), EvolutionModel.site_dephasing(1.0)
+    spy = mock.Mock(side_effect=Superoperator.__dict__["_probe_sites"].func)
+    counted = cached_property(spy)
+    counted.__set_name__(Superoperator, "_probe_sites")
+    with mock.patch.object(Superoperator, "_probe_sites", counted):
+        kbar_curve(g, model, 0, np.linspace(0.5, 15.0, 30), quad_points=41, threads=2)
+    assert spy.call_count == 1  # the first point, on the calling thread, fills the cache
+    assert spy.call_args.args[0].spectral_factors() is None  # a probed generator
+
+
+def test_long_time_profile_past_the_subnormal_range_matches_forced_pade():
+    # at gamma = 50 the coherence modes of e^{ws} fall below 1e-308 by s = 20
+    g, model = build_graph("complete", 16), EvolutionModel.site_dephasing(50.0)
+    spectral = k_slice(g, model, 0, 20.0, 200)[1]
+    with forced_pade():
+        pade = k_slice(g, model, 0, 20.0, 200)[1]
+    assert np.abs(spectral - pade).max() < 1e-12
 
 
 def test_dqc_complete_graph_tail():
