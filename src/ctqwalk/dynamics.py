@@ -293,44 +293,78 @@ class Propagator:
         """The state at time t, or the stack of them for a stack of start states."""
         return DensityMatrix(_hermitize(self.evolve_matrix(rho0.matrix, t)))
 
+    @cached_property
+    def _eigen_pairs(self) -> _EigenPairs:
+        return _eigen_pairs(self.graph.spectrum)
+
     def _populations(self, rho0: np.ndarray, s: np.ndarray):
         """``(p, act)`` of rho0 on the grid s from this model's population provider."""
         if self.model.kind in ("unitary", "energy-dephasing"):
-            return _eigen_populations(self.graph.spectrum, self.model.gamma, rho0, s)
+            return _eigen_populations(self._eigen_pairs, self.model.gamma, rho0, s)
         return _superop_populations(self.generator, rho0, s)
 
 
 # Population providers for K(s, t) profiles. Each maps rho0 and a uniform grid
 # s = linspace(0, t, q) to ``(p, act)``: ``p[k]`` holds the site populations
 # of e^{L s_k} rho0, and ``act(P)[k] = G(s_k) P[k]`` for a (q, n) stack P, with
-# ``G(tau)[x, y] = <x| e^{L tau}(|y><y|) |x>``. Both may be complex, so that
+# ``G(tau)[x, y] = <x| e^{L tau}(|y><y|) |x>``. The eigenbasis provider's are
+# real by construction; the superoperator provider's may be complex, so that
 # the caller checks the imaginary residue.
 
-def _eigen_populations(spec: SpectralDecomposition, gamma: float, rho0: np.ndarray,
+class _EigenPairs(NamedTuple):
+    """Tables of the eigenbasis provider over the P = n(n+1)/2 pairs a <= b of
+    Laplacian eigenvectors; they depend on the spectrum alone."""
+
+    u: np.ndarray       # (n, n) eigenvectors
+    rows: np.ndarray    # (P,) a of each pair
+    cols: np.ndarray    # (P,) b of each pair
+    gap: np.ndarray     # (P,) l_a - l_b of the group-representative eigenvalues
+    weight: np.ndarray  # (P,) 1 on a diagonal pair, 2 off it
+    m: np.ndarray       # (n, P) C-contiguous, m[y, (a, b)] = conj(U_ya) U_yb
+
+
+def _eigen_pairs(spec: SpectralDecomposition) -> _EigenPairs:
+    u = spec.eigenvectors
+    a, b = np.triu_indices(len(u))
+    lam = np.repeat(spec.group_eigenvalues(), [len(g) for g in spec.groups])
+    return _EigenPairs(u, a, b, lam[a] - lam[b], np.where(a == b, 1.0, 2.0),
+                       _as_readonly(u.conj()[:, a] * u[:, b]))
+
+
+def _eigen_populations(pairs: _EigenPairs, gamma: float, rho0: np.ndarray,
                        s: np.ndarray):
     """Populations in the Laplacian eigenbasis: unitary (gamma = 0) or energy dephasing.
 
     Both act there as ``X -> X o Phi(tau)``, ``Phi_ab = exp((-i(l_a - l_b) -
     (gamma/2)(l_a - l_b)^2) tau)``, so both parts are ``diag U (X o Phi(s_k)) U^H``,
     with ``X = U^H rho0 U`` for p and ``X = U^H diag(P_k) U = (P @ M)_k`` for G,
-    where ``M[x, (a, b)] = conj(U_xa) U_xb``; the diagonal is the gemm with
-    ``M^H``. Group-representative eigenvalues make Phi constant on degenerate
-    blocks, so only the group projectors matter.
+    where ``M[y, (a, b)] = conj(U_ya) U_yb``. Group-representative eigenvalues
+    make Phi constant on degenerate blocks, so only the group projectors matter.
+
+    Both X are Hermitian and ``Phi_ba = conj(Phi_ab)``, so the (b, a) term of
+    the diagonal is the conjugate of the (a, b) term: the sum runs over the
+    pairs a <= b of :func:`_eigen_pairs`, each off-diagonal one counting twice
+    its real part (a weight that Phi carries). As ``Re(z conj(w)) = Re z Re w +
+    Im z Im w``, that is one real gemm of the (Re, Im) float views of
+    ``X o Phi`` and of M, and ``P @ M`` is a real gemm on the float view of M;
+    the populations come out real.
+
+    Phi is the :func:`_exp_grid` table of the n(n+1)/2 rates, which drops
+    entries below ``sqrt(tiny)`` (about 1.5e-154) from its two factors. The
+    rates have ``Re <= 0``, so a term it drops is below ``2 sqrt(tiny) |X_ab|
+    max|U|^2``, where ``|X_ab| <= 1`` for p and ``|X_ab| <= max|P_k|`` for G.
     """
-    u = spec.eigenvectors
-    n, q = len(u), len(s)
-    lam = np.repeat(spec.group_eigenvalues(), [len(g) for g in spec.groups])
-    e = np.exp(-1j * np.multiply.outer(s, lam))
-    phase = e[:, :, None] * e.conj()[:, None, :]
-    if gamma != 0:
-        phase *= np.exp(-np.multiply.outer(s, 0.5 * gamma * np.subtract.outer(lam, lam) ** 2))
-    m = (u.conj()[:, :, None] * u[:, None, :]).reshape(n, n * n)
+    u, rows, cols, gap, weight, m = pairs
+    phase = np.multiply(_exp_grid(gap * (-1j - 0.5 * gamma * gap), s).T, weight, order="C")
+    read = m.view(np.float64).T
 
-    def diagonals(x: np.ndarray) -> np.ndarray:
-        return (x * phase).reshape(q, n * n) @ m.conj().T
+    def act(pops: np.ndarray) -> np.ndarray:
+        x = (pops @ m.view(np.float64)).view(np.complex128)
+        x *= phase
+        return x.view(np.float64) @ read
 
-    return (diagonals(u.conj().T @ rho0 @ u),
-            lambda pops: diagonals((pops @ m).reshape(q, n, n)))
+    x0 = (u.conj().T @ rho0 @ u)[rows, cols]
+    return (x0 * phase).view(np.float64) @ read, act
 
 
 def _profile_factors(generator: Superoperator, rho0: np.ndarray):

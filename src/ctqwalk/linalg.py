@@ -28,7 +28,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 # Tolerances; the ones marked relative scale with max(1, largest entry).
 #: Hermiticity defect of a generator or decomposed matrix (relative)
@@ -287,6 +286,8 @@ class Superoperator:
 
     def _expm_matrix(self, t: float) -> np.ndarray:
         """``e^{Rt}`` for R = :attr:`real_form`: the Pade fallback's one real exponential."""
+        import scipy.linalg  # here: no other route needs it, and it is most of `import ctqwalk`
+
         return scipy.linalg.expm(self.real_form * t)
 
     def expm_apply(self, t: float, matrix: np.ndarray) -> np.ndarray:

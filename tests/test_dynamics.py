@@ -21,6 +21,7 @@ from ctqwalk import (
     spectral_gap,
     vectorize_lindblad,
 )
+import ctqwalk.dynamics
 from ctqwalk.dynamics import _exp_grid, _superop_populations
 from ctqwalk.linalg import SuperoperatorSizeError
 from conftest import apply_map, expm_steps, forced_pade, random_density
@@ -218,6 +219,62 @@ def test_superop_populations_never_exponentiate_the_full_table():
         _superop_populations(gen, localized_state(g, 0).matrix, np.linspace(0.0, 7.3, q))
     sizes = [np.size(c.args[0]) for c in spy.call_args_list]
     assert sizes and sum(sizes) < g.n ** 2 * q / 4
+
+
+def _unfolded_eigen_populations(spec, gamma, rho0, s):
+    """The eigenbasis provider over all n^2 pairs in complex arithmetic: the
+    (q, n, n) phase stack and the read-out ``M^H``, independent of the folded one."""
+    u = spec.eigenvectors
+    n, q = len(u), len(s)
+    lam = np.repeat(spec.group_eigenvalues(), [len(g) for g in spec.groups])
+    e = np.exp(-1j * np.multiply.outer(s, lam))
+    phase = e[:, :, None] * e.conj()[:, None, :]
+    phase = phase * np.exp(-np.multiply.outer(s, 0.5 * gamma * np.subtract.outer(lam, lam) ** 2))
+    m = (u.conj()[:, :, None] * u[:, None, :]).reshape(n, n * n)
+
+    def diagonals(x):
+        return (x * phase).reshape(q, n * n) @ m.conj().T
+
+    return (diagonals(u.conj().T @ rho0 @ u),
+            lambda pops: diagonals((pops @ m).reshape(q, n, n)))
+
+
+def test_eigen_populations_meet_the_unfolded_sum(rng):
+    irregular = np.zeros((6, 6), dtype=int)
+    for j, k in ((0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)):
+        irregular[j, k] = irregular[k, j] = 1
+    graphs = [build_graph("cycle", 4), build_graph("complete", 6),  # 5-fold degenerate
+              build_graph("path", 5),  # nondegenerate
+              build_graph("custom", adjacency=irregular)]
+    for g in graphs:
+        starts = [localized_state(g, 0).matrix, random_density(rng, g.n)]
+        for gamma in (0.0, 0.6, 50.0):
+            model = (EvolutionModel.energy_dephasing(gamma) if gamma
+                     else EvolutionModel.unitary())
+            prop = Propagator(g, model)
+            for t in (0.2, 7.3, 20.0):
+                s = np.linspace(0.0, t, 201)
+                stack = rng.random((len(s), g.n))
+                for rho0 in starts:
+                    p, act = prop._populations(rho0, s)
+                    p_ref, act_ref = _unfolded_eigen_populations(g.spectrum, gamma, rho0, s)
+                    g_p = act(stack)
+                    assert p.dtype == g_p.dtype == np.float64
+                    assert np.abs(p - p_ref).max() < 1e-13
+                    assert np.abs(g_p - act_ref(stack)).max() < 1e-13
+
+
+def test_eigen_populations_exponentiate_only_the_pairs():
+    g, q = build_graph("cycle", 16), 201
+    pairs = g.n * (g.n + 1) // 2
+    for model in (EvolutionModel.unitary(), EvolutionModel.energy_dephasing(50.0)):
+        prop = Propagator(g, model)
+        prop._eigen_pairs  # built before the spies start
+        with mock.patch.object(ctqwalk.dynamics, "_exp_grid", wraps=_exp_grid) as grid, \
+                mock.patch.object(np, "exp", wraps=np.exp) as exp:
+            prop._populations(localized_state(g, 0).matrix, np.linspace(0.0, 7.3, q))
+        assert [len(c.args[0]) for c in grid.call_args_list] == [pairs]
+        assert sum(np.size(c.args[0]) for c in exp.call_args_list) < g.n ** 2 * q / 4
 
 
 # --- propagate ----------------------------------------------------------------

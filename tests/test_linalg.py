@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -247,6 +252,37 @@ def test_forced_pade_expm_apply_matches_the_complex_exponential(n, seed, t, rate
     for x, y in zip(stack, out):
         ref = _unvec(dense @ vec(x), n)
         assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+_NO_SCIPY_UNTIL_PADE = """
+import sys
+from conftest import forced_pade
+from ctqwalk import (EvolutionModel, build_graph, dqc_curve, kbar, kbar_curve, localized_state,
+                     make_generator)
+graphs = [build_graph(t, 6) for t in ("cycle", "complete", "path")]
+for g in graphs:
+    g.spectrum
+kbar_curve(graphs[0], EvolutionModel.unitary(), 0, [0.5, 1.0])
+dqc_curve(graphs[1], EvolutionModel.energy_dephasing(0.6), [0.5, 1.0])
+loaded = "scipy" in sys.modules
+gen = make_generator(graphs[2], EvolutionModel.site_dephasing(1.0))
+rho0 = localized_state(graphs[2], 0)
+spectral = kbar(gen, rho0, 1.0)
+with forced_pade() as spy:
+    pade = kbar(gen, rho0, 1.0)
+print(loaded, spy.call_count > 0, abs(pade - spectral) < 1e-10)
+"""
+
+
+def test_scipy_is_imported_only_by_the_pade_route():
+    # the n-space routes never load scipy; the Pade route imports it on first use
+    tests = Path(__file__).resolve().parent
+    src = Path(sys.modules["ctqwalk"].__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_UNTIL_PADE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True", "True"]
 
 
 def test_semigroup_composition_law(rng):

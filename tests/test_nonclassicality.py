@@ -40,6 +40,7 @@ from ctqwalk import (
     short_time_coeffs,
     spectral_decompose,
 )
+import ctqwalk.dynamics
 import ctqwalk.nonclassicality
 from ctqwalk.dynamics import _profile_factors, _superop_populations
 from ctqwalk.nonclassicality import (_dqc_distances, _k_from_diagonal, _k_profile, _simpson_mean,
@@ -289,6 +290,14 @@ def test_kbar_curve_threads_deterministic():
         serial = kbar_curve(build_graph("cycle", 5), model, 0, times, threads=1)
         pooled = kbar_curve(build_graph("cycle", 5), model, 0, times, threads=4)
         assert np.array_equal(serial.values, pooled.values), model.kind
+
+
+def test_kbar_curve_builds_the_eigenbasis_pair_tables_once():
+    pairs = ctqwalk.dynamics._eigen_pairs
+    with mock.patch.object(ctqwalk.dynamics, "_eigen_pairs", wraps=pairs) as spy:
+        kbar_curve(build_graph("cycle", 6), EvolutionModel.energy_dephasing(0.7), 0,
+                   np.linspace(0.1, 3.0, 30), threads=2)
+    assert spy.call_count == 1
 
 
 def test_kbar_curve_pool_is_bounded_by_the_cores(monkeypatch):
