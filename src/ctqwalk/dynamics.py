@@ -28,7 +28,7 @@ import numpy as np
 from .graphs import Graph, SpectralDecomposition
 from .linalg import (HERMITICITY_TOL, IMAG_TOL, PROB_TOL, STATE_PSD_TOL, STATIONARY_TOL,
                      TRACE_TOL, Superoperator, _as_readonly, _check_square, _check_time,
-                     hermitian_coords, vec, vectorize_lindblad)
+                     hermitian_coords, vectorize_lindblad)
 
 MODEL_KINDS = ("unitary", "site-dephasing", "energy-dephasing", "custom")
 
@@ -253,10 +253,12 @@ class Propagator:
     own: spectral ``e^{-iLt}`` (unitary), the eigenspace closed form (energy
     dephasing) or the superoperator exponential (site dephasing, custom).
     :meth:`_populations` feeds K(s, t) profiles: the Laplacian eigenbasis for
-    unitary and energy dephasing, the superoperator otherwise. Both
-    superoperator routes share its one eigendecomposition, behind two gates:
-    the residual for states, a population probe for K profiles. Where its
-    gate refuses, each takes the generator's one real Pade exponential.
+    unitary and energy dephasing, the superoperator otherwise. The two
+    superoperator routes factor the generator apart: states its complex
+    eigendecomposition, behind the residual gate; K profiles the real one of
+    its real form, and only where that is refused the complex one, each
+    behind its own residual or a population probe. Where every gate refuses,
+    each takes the generator's one real Pade exponential.
     """
 
     def __init__(self, graph: Graph, model: EvolutionModel):
@@ -307,9 +309,8 @@ class Propagator:
 # Population providers for K(s, t) profiles. Each maps rho0 and a uniform grid
 # s = linspace(0, t, q) to ``(p, act)``: ``p[k]`` holds the site populations
 # of e^{L s_k} rho0, and ``act(P)[k] = G(s_k) P[k]`` for a (q, n) stack P, with
-# ``G(tau)[x, y] = <x| e^{L tau}(|y><y|) |x>``. The eigenbasis provider's are
-# real by construction; the superoperator provider's may be complex, so that
-# the caller checks the imaginary residue.
+# ``G(tau)[x, y] = <x| e^{L tau}(|y><y|) |x>``. Both providers' are real
+# float64 by construction; the caller still checks the imaginary residue.
 
 class _EigenPairs(NamedTuple):
     """Tables of the eigenbasis provider over the P = n(n+1)/2 pairs a <= b of
@@ -368,26 +369,27 @@ def _eigen_populations(pairs: _EigenPairs, gamma: float, rho0: np.ndarray,
 
 
 def _profile_factors(generator: Superoperator, rho0: np.ndarray):
-    """``(w, V, V^-1)`` of the generator if K profiles of rho0 may read them, else None.
+    """``(modes, c)``: the first factorization of the generator that K profiles
+    of rho0 may read, with rho0's mode coordinates c; None if neither may.
 
-    Where the residual gate of :meth:`Superoperator.spectral_factors`
-    refuses the whole propagator, the factorization may still be accurate on
-    the columns a profile reads: the n site projectors and vec rho0, on the
-    population rows d. It is accepted if at each probe step h its
-    ``[G(h) | p(h)]`` is within ``PROB_TOL`` of the Pade exponential's. The
-    generator caches the verdict on G (:attr:`Superoperator._probe_sites`),
-    so each call compares only the p(h) column.
+    :attr:`Superoperator._real_modes` is tried first, then
+    :attr:`Superoperator._complex_modes`; each is built on first use. One
+    that its residual gate refused may still be accurate on the columns a
+    profile reads: the n site projectors and rho0, on the population rows.
+    It is accepted if at each probe step h its ``[G(h) | p(h)]`` is within
+    ``PROB_TOL`` of the Pade exponential's. The generator caches the verdict
+    on G with the factorization, so each call compares only the p(h) column.
     """
-    factors = generator.spectral_factors()
-    if factors is not None or generator._eig is None or not generator._probe_sites:
-        return factors
-    w, v, vinv, _ = generator._eig
-    n = generator.dim
-    vd, c, r0 = v[np.arange(n) * (n + 1)], vinv @ vec(rho0), hermitian_coords(rho0)
-    for h, rows in generator._probe_rows.items():
-        if not np.abs(vd @ (np.exp(w * h) * c) - rows @ r0).max() <= PROB_TOL:  # NaN refuses
-            return None
-    return w, v, vinv
+    r0 = hermitian_coords(rho0)
+    for name in ("_real_modes", "_complex_modes"):  # in turn: each is built on first use
+        modes = getattr(generator, name)
+        if modes is None:
+            continue
+        c = (modes.inv @ r0).view(np.float64)
+        if not modes.probed or modes.meets(
+                c[None], {h: rows @ r0 for h, rows in generator._probe_rows.items()}):
+            return modes, c
+    return None
 
 
 def _exp_grid(w: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -406,31 +408,32 @@ def _exp_grid(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     coarse, fine = np.exp(np.outer(w, s[::b])), np.exp(np.outer(w, s[:b]))
     for table in (coarse, fine):
         table[np.abs(table) < np.sqrt(np.finfo(float).tiny)] = 0
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(w), -1)[:, :q]
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(w), coarse.shape[1] * b)[:, :q]
 
 
 def _superop_populations(generator: Superoperator, rho0: np.ndarray, s: np.ndarray):
-    """Populations through the superoperator ``L = V diag(w) V^-1``.
+    """Populations through the modes of :func:`_profile_factors`, in real arithmetic.
 
-    With ``d`` the diagonal positions under column stacking,
-    ``p = V_d (e^{ws} o V^-1 vec rho0)`` and ``G(s) P = V_d (e^{ws} o V^-1[:, d] P)``.
-    The table ``e^{ws}`` is the product of a coarse and a fine table of
-    :func:`_exp_grid`, with entries below ``sqrt(tiny)`` dropped from each:
-    a term it drops from p is below ``sqrt(tiny) max|V_d| max|V^-1 vec rho0|``
-    (about 1.5e-154 times that), and likewise for G. Where :func:`_profile_factors` refuses the factorization, the generator's
-    one Pade exponential (``Superoperator._expm_matrix``, real in Hermitian
-    coordinates, as for states) steps along the grid, carrying rho0 and the
-    n site projectors (the columns of G).
+    With ``c`` the mode coordinates of rho0, ``p = (e^{ws} o c) @ read`` and
+    ``G(s) P = (e^{ws} o (P @ sites)) @ read``: two real gemms around the
+    tables, which scale each real mode and rotate each complex one (its
+    (Re, Im) coordinate pair, read as one complex number). Each table is the
+    product of a coarse and a fine table of :func:`_exp_grid`, with entries
+    below ``sqrt(tiny)`` dropped from each: a term it drops from p is below
+    ``sqrt(tiny) max|read| max|c|`` (about 1.5e-154 times that), and likewise
+    for G. Where :func:`_profile_factors` refuses both factorizations, the
+    generator's one Pade exponential (``Superoperator._expm_matrix``, real in
+    Hermitian coordinates, as for states) steps along the grid, carrying rho0
+    and the n site projectors (the columns of G).
     """
     n = generator.dim
-    d = np.arange(n) * (n + 1)
-    spectral = _profile_factors(generator, rho0)
-    if spectral is not None:
-        w, v, vinv = spectral
-        e = _exp_grid(w, s)
-        vd, vinv_d = v[d], vinv[:, d]
-        p = vd @ (e * (vinv @ vec(rho0))[:, None])
-        return p.T, lambda pops: (vd @ (e * (vinv_d @ pops.T))).T
+    factors = _profile_factors(generator, rho0)
+    if factors is not None:
+        modes, c = factors
+        pair, real = (np.ascontiguousarray(_exp_grid(w, s).T)
+                      for w in (modes.rates, modes.real_rates))
+        p = modes.advance(np.tile(c, (len(s), 1)), pair, real)
+        return p, lambda pops: modes.advance(pops @ modes.sites, pair, real)
 
     step = generator._expm_matrix(s[1])
     b = np.zeros((n * n, n + 1))

@@ -18,14 +18,19 @@ matrix in them (:attr:`Superoperator.real_form`). The Pade fallback
 therefore takes one real exponential of it, for states and K(s, t)
 profiles alike.
 
-A superoperator is eigendecomposed once, behind two gates: states take the
-factorization if it reconstructs the matrix to ``SPECTRAL_RESIDUAL_TOL``,
-K(s, t) profiles if the population columns they read meet the Pade
+States and K(s, t) profiles factor a superoperator apart. States take the
+complex eigendecomposition of the matrix if it reconstructs the matrix to
+``SPECTRAL_RESIDUAL_TOL``. K profiles read :attr:`Superoperator.real_form`'s
+own real eigendecomposition, its conjugate pairs folded into real
+coordinates (:class:`_Modes`), and only where that is refused, the complex
+one. Each is eigendecomposed once, behind two gates: its own reconstruction
+residual, or else the population columns a profile reads meeting the Pade
 exponential's to ``PROB_TOL`` at ``_PROBE_TIMES``.
 """
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,22 +202,60 @@ def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
 # Superoperators
 # ---------------------------------------------------------------------------
 
+class _Modes(NamedTuple):
+    """A factorization of :attr:`Superoperator.real_form` as K profiles read it,
+    in real arithmetic.
+
+    The mode coordinates of Hermitian coordinates r are ``inv @ r``, read as
+    float64: first 2m pair coordinates, (Re, Im) of the complex coordinate
+    of each of m modes, then one per real mode. Time tau multiplies complex
+    mode j by ``e^{rates_j tau}`` and real mode i by ``e^{real_rates_i tau}``,
+    and ``coordinates @ read`` are the site populations. ``sites`` holds the
+    coordinates of the n site projectors ``|y><y|``, one per row.
+    """
+
+    rates: np.ndarray       # (m,) complex
+    real_rates: np.ndarray  # (r,) real
+    inv: np.ndarray         # (2m + r, n^2) real, or (m, n^2) complex
+    sites: np.ndarray       # (n, 2m + r) real
+    read: np.ndarray        # (2m + r, n) real
+    probed: bool            # refused by its residual gate: each start state is probed
+
+    def advance(self, y: np.ndarray, pair: np.ndarray, real: np.ndarray) -> np.ndarray:
+        """Populations of the C-contiguous coordinates y (k, 2m + r), advanced in
+        place by the tables ``pair`` (k, m) and ``real`` (k, r) of the two rates."""
+        m = 2 * len(self.rates)
+        modes = y[:, :m].view(np.complex128)
+        modes *= pair
+        y[:, m:] *= real
+        return y @ self.read
+
+    def meets(self, y: np.ndarray, targets: dict[float, np.ndarray]) -> bool:
+        """Whether the populations of coordinates y advanced by each step h are
+        within ``PROB_TOL`` of ``targets[h]``; a NaN refuses too."""
+        return all(np.abs(self.advance(y.copy(), np.exp(self.rates * h),
+                                       np.exp(self.real_rates * h)) - target).max() <= PROB_TOL
+                   for h, target in targets.items())
+
+
 class Superoperator:
     """Linear map on density matrices, stored as an n^2 x n^2 matrix.
 
-    Acts on column-stacked matrices. The class caches one eigendecomposition
-    of its matrix (:attr:`_eig`) the first time it is needed. Where the
-    matrix is too close to defective for it to be trustworthy (residual
-    above ``SPECTRAL_RESIDUAL_TOL`` relative, the gate of
-    :meth:`spectral_factors`), actions fall back to one dense Pade
+    Acts on column-stacked matrices. States read one complex
+    eigendecomposition of the matrix (:attr:`_eig`), cached the first time
+    it is needed. Where the matrix is too close to defective for it to be
+    trustworthy (residual above ``SPECTRAL_RESIDUAL_TOL`` relative, the gate
+    of :meth:`spectral_factors`), actions fall back to one dense Pade
     exponential per call (:meth:`_expm_matrix`) of :attr:`real_form`, the
     same map as a real matrix in the Hermitian coordinates of
     :func:`hermitian_basis`, built once on first use. A map without a real
     form (one that does not preserve Hermiticity) has no Pade fallback.
-    K(s, t) profiles gate the factorization by a probe against
-    :attr:`_probe_rows` instead, whose site-projector half it caches
-    (:attr:`_probe_sites`). :meth:`expm_apply` acts on one matrix or on
-    a (k, n, n) stack, such as the n start states of ``dqc`` at one time.
+    K(s, t) profiles read :attr:`_real_modes`, the real eigendecomposition
+    of :attr:`real_form`, and where it is refused :attr:`_complex_modes`,
+    :attr:`_eig` in the same real coordinates; each is gated by its own
+    residual or else by a probe against :attr:`_probe_rows`.
+    :meth:`expm_apply` acts on one matrix or on a (k, n, n) stack, such as
+    the n start states of ``dqc`` at one time.
     """
 
     def __init__(self, dim: int, matrix: np.ndarray):
@@ -231,8 +274,8 @@ class Superoperator:
     def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
         """The matrix's one eigensolve ``M = V diag(w) V^{-1}``, as ``(w, V, V^{-1},
         residual)`` with the reconstruction residual relative to ``max(1, max|M|)``;
-        None if LAPACK fails. Both route gates read it, so replacing it by None
-        sends states and K profiles alike to the Pade route."""
+        None if LAPACK fails. States read it; K profiles only where
+        :attr:`_real_modes` is refused."""
         try:
             w, v = np.linalg.eig(self.matrix)
             vinv = np.linalg.inv(v)
@@ -256,16 +299,69 @@ class Superoperator:
         :data:`_PROBE_TIMES`, for the K-profile probe of ``dynamics``."""
         return {h: self._expm_matrix(h)[:self.dim] for h in _PROBE_TIMES}
 
+    def _gated(self, rates: np.ndarray, real_rates: np.ndarray, inv: np.ndarray,
+               read: np.ndarray, residual: float) -> _Modes | None:
+        """A factorization as :class:`_Modes`, or None if its residual fails
+        ``SPECTRAL_RESIDUAL_TOL`` and the populations of the site projectors
+        miss :attr:`_probe_rows`: a verdict that no start state changes."""
+        n = self.dim
+        modes = _Modes(rates, real_rates, inv, np.ascontiguousarray(inv[:, :n].T).view(np.float64),
+                       read, not residual <= SPECTRAL_RESIDUAL_TOL)  # a NaN is refused too
+        if modes.probed and not modes.meets(
+                modes.sites, {h: rows[:, :n].T for h, rows in self._probe_rows.items()}):
+            return None
+        return modes
+
     @cached_property
-    def _probe_sites(self) -> bool:
-        """Whether the factorization's ``G(h) = V_d e^{wh} V^{-1}[:, d]`` (d the
-        population rows) meets :attr:`_probe_rows` within ``PROB_TOL`` at every
-        probe step: the part of the K-profile probe that no start state changes."""
-        w, v, vinv, _ = self._eig
+    def _real_modes(self) -> _Modes | None:
+        """The one real eigensolve (dgeev) of R = :attr:`real_form`, for K profiles.
+
+        Its conjugate pairs are exact, so each pair keeps one eigenvector x,
+        of eigenvalue w, with the real basis columns (Re x, Im x); a real mode
+        keeps its vector. With phi, chi the rows of the real inverse for the
+        pair, its part of ``e^{R tau} y`` is ``Re(conj(x) e^{conj(w) tau} (phi +
+        i chi) y)``: the 2 of the fold and the 1/2 of the real basis cancel.
+        So the basis and its inverse are the read-out and the coordinates of
+        :class:`_Modes` as they stand, at rates ``conj(w)``. None if LAPACK
+        fails or :meth:`_gated` refuses it. Raises ArithmeticError where the
+        map has no real form.
+        """
+        r = self.real_form
+        try:
+            w, v = np.linalg.eig(r)
+            pair, real = w.imag > 0, w.imag == 0
+            m = 2 * int(pair.sum())
+            basis = np.empty(r.shape)
+            basis[:, :m].view(np.complex128)[...] = v[:, pair]
+            basis[:, m:] = v[:, real].real
+            inv = np.linalg.inv(basis)
+        except np.linalg.LinAlgError:
+            return None
+        image = basis.copy()  # R basis, from the eigenvalues
+        image[:, :m].view(np.complex128)[...] *= w[pair]
+        image[:, m:] *= w[real].real
+        residual = np.abs(image @ inv - r).max() / max(1.0, np.abs(r).max())
+        return self._gated(w[pair].conj(), w[real].real, inv, basis[:self.dim].T.copy(),
+                           residual)
+
+    @cached_property
+    def _complex_modes(self) -> _Modes | None:
+        """:attr:`_eig` as :class:`_Modes` of :attr:`real_form`, for K profiles
+        that :attr:`_real_modes` refuses.
+
+        In Hermitian coordinates the eigenvectors are ``T^H V`` and the
+        coordinates ``V^{-1} T``. All n^2 modes stay complex: mode k's part of
+        the populations is ``Re(V_dk e^{w_k tau} (V^{-1} T r)_k)``, so the read-out
+        is ``conj(V_d)`` as floats. None if LAPACK fails or :meth:`_gated`
+        refuses it.
+        """
+        if self._eig is None:
+            return None
+        w, v, vinv, residual = self._eig
         n = self.dim
         d = np.arange(n) * (n + 1)
-        return all(np.abs(v[d] @ (np.exp(w * h)[:, None] * vinv[:, d]) - rows[:, :n]).max()
-                   <= PROB_TOL for h, rows in self._probe_rows.items())  # a NaN refuses too
+        inv = _hermitian_rows(vinv.conj().T, n).conj().T  # V^{-1} T, as T^H (T^H V^{-H})^H
+        return self._gated(w, np.empty(0), inv, v[d].conj().view(np.float64).T, residual)
 
     @cached_property
     def real_form(self) -> np.ndarray:

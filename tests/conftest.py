@@ -38,10 +38,13 @@ def expm_spy():
 @contextmanager
 def forced_pade():
     """Send every superoperator to the Pade route, for states and K profiles
-    alike, even one whose eigendecomposition is already cached: both route
-    gates read ``Superoperator._eig``. Yields an :func:`expm_spy`."""
-    with mock.patch.object(Superoperator, "_eig", property(lambda self: None)), \
-            expm_spy() as spy:
+    alike, even one whose factorizations are already cached: states read
+    ``Superoperator._eig``, K profiles ``_real_modes`` and then
+    ``_complex_modes``. Yields an :func:`expm_spy`."""
+    none = property(lambda self: None)
+    with mock.patch.object(Superoperator, "_eig", none), \
+            mock.patch.object(Superoperator, "_real_modes", none), \
+            mock.patch.object(Superoperator, "_complex_modes", none), expm_spy() as spy:
         yield spy
 
 

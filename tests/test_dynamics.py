@@ -22,8 +22,8 @@ from ctqwalk import (
     vectorize_lindblad,
 )
 import ctqwalk.dynamics
-from ctqwalk.dynamics import _exp_grid, _superop_populations
-from ctqwalk.linalg import SuperoperatorSizeError
+from ctqwalk.dynamics import _exp_grid, _profile_factors, _superop_populations
+from ctqwalk.linalg import SuperoperatorSizeError, hermitian_basis
 from conftest import apply_map, expm_steps, forced_pade, random_density
 
 
@@ -219,6 +219,60 @@ def test_superop_populations_never_exponentiate_the_full_table():
         _superop_populations(gen, localized_state(g, 0).matrix, np.linspace(0.0, 7.3, q))
     sizes = [np.size(c.args[0]) for c in spy.call_args_list]
     assert sizes and sum(sizes) < g.n ** 2 * q / 4
+
+
+def _complex_superop_populations(gen, rho0, s):
+    """The superoperator provider in complex arithmetic over all n^2 modes of
+    ``np.linalg.eig(gen.matrix)``, independent of the folded real one:
+    ``p = V_d (e^{ws} o V^-1 vec rho0)`` and ``G(s) P = V_d (e^{ws} o V^-1[:, d] P)``."""
+    d = np.arange(gen.dim) * (gen.dim + 1)
+    w, v = np.linalg.eig(gen.matrix)
+    vinv = np.linalg.inv(v)
+    e = np.exp(np.outer(w, s))
+    p = v[d] @ (e * (vinv @ rho0.flatten(order="F"))[:, None])
+    return p.T, lambda pops: (v[d] @ (e * (vinv[:, d] @ pops.T))).T
+
+
+def _rotation_map():
+    """A two-site map that preserves Hermiticity and has no real eigenvalue:
+    two decaying rotations in Hermitian coordinates."""
+    r = np.zeros((4, 4))
+    r[:2, :2] = [[-0.3, 1.2], [-1.2, -0.3]]
+    r[2:, 2:] = [[-0.7, 0.4], [-0.4, -0.7]]
+    t = hermitian_basis(2)
+    return Superoperator(2, t @ r @ t.conj().T)
+
+
+def test_superop_populations_meet_the_complex_formula(rng):
+    irregular = np.zeros((6, 6), dtype=int)
+    for j, k in ((0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)):
+        irregular[j, k] = irregular[k, j] = 1
+    hop = np.zeros((4, 4))
+    hop[0, 1] = 1.0  # |0><1|, not Hermitian
+    custom = EvolutionModel.custom([(0.8, hop), (0.3, np.diag([1.0, 0.0, 2.0, 0.0]))])
+    cases = [(build_graph(topology, n), EvolutionModel.site_dephasing(gamma))
+             for topology, n in (("cycle", 4), ("path", 5), ("complete", 6))
+             for gamma in (0.5, 1.0, 50.0)]
+    cases += [(build_graph("custom", adjacency=irregular), EvolutionModel.site_dephasing(1.0)),
+              (build_graph("cycle", 4), custom)]
+    projectors = [(2.5, np.diag(np.eye(4)[k])) for k in range(4)]
+    no_pairs = vectorize_lindblad(np.zeros((4, 4)), projectors)  # pure dephasing: real spectrum
+    gens = [make_generator(g, model) for g, model in cases] + [no_pairs, _rotation_map()]
+    assert len(no_pairs._real_modes.rates) == 0 < len(no_pairs._real_modes.real_rates)
+    assert len(gens[-1]._real_modes.real_rates) == 0 < len(gens[-1]._real_modes.rates)
+    for gen in gens:
+        n = gen.dim
+        starts = [np.diag(np.eye(n)[0]).astype(complex), random_density(rng, n)]
+        for t in (0.2, 7.3, 20.0):
+            s = np.linspace(0.0, t, 201)
+            stack = rng.random((len(s), n))
+            for rho0 in starts:
+                p, act = _superop_populations(gen, rho0, s)
+                assert _profile_factors(gen, rho0)[0] is gen._real_modes
+                p_ref, act_ref = _complex_superop_populations(gen, rho0, s)
+                assert p.dtype == act(stack).dtype == np.float64
+                assert np.abs(p - p_ref).max() < 1e-12
+                assert np.abs(act(stack) - act_ref(stack)).max() < 1e-12
 
 
 def _unfolded_eigen_populations(spec, gamma, rho0, s):

@@ -1,5 +1,7 @@
 import itertools
 import os
+import subprocess
+import sys
 import threading
 import time
 from functools import cached_property, partial
@@ -208,6 +210,9 @@ def test_large_imaginary_parts_are_an_error_not_a_clip(rng):
     g = build_graph("cycle", 2)
     with pytest.raises(ArithmeticError, match="imaginary"):
         kolmogorov_k(broken, localized_state(g, 0), 0.5, 1.0)
+    # K profiles read its real form on every route, the default one too
+    with pytest.raises(ArithmeticError, match="Hermiticity"):
+        kbar(broken, localized_state(g, 0), 1.0)
     # the Pade branch works in real Hermitian coordinates, which such a map has not
     with forced_pade():
         with pytest.raises(ArithmeticError, match="Hermiticity"):
@@ -298,6 +303,53 @@ def test_kbar_curve_builds_the_eigenbasis_pair_tables_once():
         kbar_curve(build_graph("cycle", 6), EvolutionModel.energy_dephasing(0.7), 0,
                    np.linspace(0.1, 3.0, 30), threads=2)
     assert spy.call_count == 1
+
+
+@pytest.mark.parametrize("topology", ["cycle", "complete"])
+def test_site_dephasing_kbar_curve_runs_one_real_eigensolve(topology):
+    # cycle-16 passes the real residual gate, complete-16 the probe; neither
+    # needs the complex eigendecomposition that states read
+    g, model = build_graph(topology, 16), EvolutionModel.site_dephasing(1.0)
+    with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig, \
+            mock.patch.object(Superoperator, "_gated", autospec=True,
+                              side_effect=Superoperator._gated) as gated:
+        kbar_curve(g, model, 0, np.linspace(0.5, 15.0, 30), quad_points=41, threads=2)
+    assert eig.call_count == 1 and eig.call_args.args[0].dtype == np.float64
+    gen = gated.call_args.args[0]
+    assert "_eig" not in vars(gen) and "_complex_modes" not in vars(gen)
+
+
+def test_site_dephasing_dqc_curve_never_builds_the_real_factorization():
+    spy = mock.Mock(side_effect=Superoperator.__dict__["_real_modes"].func)
+    counted = cached_property(spy)
+    counted.__set_name__(Superoperator, "_real_modes")
+    with mock.patch.object(Superoperator, "_real_modes", counted), \
+            mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig:
+        dqc_curve(build_graph("cycle", 16), EvolutionModel.site_dephasing(1.0),
+                  np.linspace(0.1, 5.0, 10))
+    assert spy.call_count == 0
+    assert [c.args[0].dtype for c in eig.call_args_list] == [np.complex128]
+
+
+_NO_POOL_IMPORT = """
+import sys
+from ctqwalk import EvolutionModel, build_graph, kbar_curve
+graphs = [build_graph(t, 16) for t in ("cycle", "complete", "path")]
+for g in graphs:
+    g.spectrum
+kbar_curve(graphs[0], EvolutionModel.site_dephasing(1.0), 0, [0.5, 1.0, 1.5], threads=1)
+print("concurrent.futures" in sys.modules)
+kbar_curve(graphs[0], EvolutionModel.site_dephasing(1.0), 0, [0.5, 1.0, 1.5], threads=2)
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_concurrent_futures_is_imported_only_where_a_pool_starts():
+    src = os.path.dirname(os.path.dirname(ctqwalk.__file__))
+    out = subprocess.run([sys.executable, "-c", _NO_POOL_IMPORT], capture_output=True,
+                         text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_kbar_curve_pool_is_bounded_by_the_cores(monkeypatch):
@@ -706,8 +758,9 @@ def test_probe_sends_a_coherent_start_to_pade():
     psi[:2] = np.sqrt(0.5)
     rho0 = DensityMatrix(np.outer(psi, psi).astype(complex))
     assert _profile_factors(gen, rho0.matrix) is None
-    assert gen._probe_sites  # refused by its own column, not by the cached site columns
-    assert _profile_factors(gen, localized_state(g, 0).matrix) is not None
+    # refused by its own column, not by the cached site columns of either factorization
+    assert gen._real_modes.probed and gen._complex_modes.probed
+    assert _profile_factors(gen, localized_state(g, 0).matrix)[0] is gen._real_modes
     t, q = 3.0, 9
     profile = _k_profile(partial(_superop_populations, gen), rho0.matrix, t, q)
     with forced_pade():
@@ -720,14 +773,50 @@ def test_probe_sends_a_coherent_start_to_pade():
 
 
 def test_probe_compares_the_site_columns_once_per_generator():
+    # the site columns are compared once per factorization built, and here
+    # only the real one is: the complex one is never needed
     g, model = build_graph("complete", 16), EvolutionModel.site_dephasing(1.0)
-    spy = mock.Mock(side_effect=Superoperator.__dict__["_probe_sites"].func)
-    counted = cached_property(spy)
-    counted.__set_name__(Superoperator, "_probe_sites")
-    with mock.patch.object(Superoperator, "_probe_sites", counted):
+    with mock.patch.object(Superoperator, "_gated", autospec=True,
+                           side_effect=Superoperator._gated) as spy:
         kbar_curve(g, model, 0, np.linspace(0.5, 15.0, 30), quad_points=41, threads=2)
     assert spy.call_count == 1  # the first point, on the calling thread, fills the cache
-    assert spy.call_args.args[0].spectral_factors() is None  # a probed generator
+    gen = spy.call_args.args[0]
+    assert gen._real_modes.probed  # a probed factorization, the real one
+    assert "_complex_modes" not in vars(gen) and gen.spectral_factors() is None
+
+
+def test_refused_real_factors_fall_back_to_the_complex_ones():
+    # which complete-16 points the real factorization loses by rounding moves
+    # with the BLAS build and thread count (gamma = 1.394 misses the probe by
+    # 4e-12 on one thread, 1.604 on two), so here it is refused outright; the
+    # complex one then fails its residual gate and meets the probe (4e-14)
+    g, model = build_graph("complete", 16), EvolutionModel.site_dephasing(1.05)
+    gen, rho0 = make_generator(g, model), localized_state(g, 0)
+    with mock.patch.object(Superoperator, "_real_modes", property(lambda self: None)):
+        with expm_spy() as spy:
+            profile = _k_profile(partial(_superop_populations, gen), rho0.matrix, 7.3, 201)
+            mean = kbar(gen, rho0, 7.3)
+        assert _profile_factors(gen, rho0.matrix)[0] is gen._complex_modes
+    assert expm_steps(spy) == [1.0, 10.0]  # the probe's two steps, and no Pade step
+    assert gen._complex_modes.probed and gen.spectral_factors() is None
+    with forced_pade():
+        pade = _k_profile(partial(_superop_populations, gen), rho0.matrix, 7.3, 201)
+        pade_mean = kbar(gen, rho0, 7.3)
+    assert np.abs(profile - pade).max() < 1e-12
+    assert abs(mean - pade_mean) < 1e-12
+    assert np.abs(profile - _k_profile(partial(_superop_populations, gen), rho0.matrix,
+                                       7.3, 201)).max() < 1e-12  # and so does the default route
+
+
+def test_two_site_unitary_profiles_read_the_real_factors():
+    # the complex eigenvectors of this normal generator are nearly parallel
+    # (residual 5e-9), so states take Pade; the real ones pass their own gate
+    g, gen = _two_site_unitary()
+    with expm_spy() as spy:
+        value = kbar(gen, localized_state(g, 1), np.pi / 2)
+    assert expm_steps(spy) == []
+    assert not gen._real_modes.probed and gen.spectral_factors() is None
+    assert abs(value - 0.25) < 1e-14
 
 
 def test_long_time_profile_past_the_subnormal_range_matches_forced_pade():
