@@ -256,9 +256,8 @@ class Propagator:
     unitary and energy dephasing, the superoperator otherwise. The two
     superoperator routes factor the generator apart: states its complex
     eigendecomposition, behind the residual gate; K profiles the real one of
-    its real form, and only where that is refused the complex one, each
-    behind its own residual or a population probe. Where every gate refuses,
-    each takes the generator's one real Pade exponential.
+    its real form, behind its own residual or a population probe. Where a
+    gate refuses, each takes the generator's one real Pade exponential.
     """
 
     def __init__(self, graph: Graph, model: EvolutionModel):
@@ -369,27 +368,25 @@ def _eigen_populations(pairs: _EigenPairs, gamma: float, rho0: np.ndarray,
 
 
 def _profile_factors(generator: Superoperator, rho0: np.ndarray):
-    """``(modes, c)``: the first factorization of the generator that K profiles
-    of rho0 may read, with rho0's mode coordinates c; None if neither may.
+    """``(modes, c)``: :attr:`Superoperator._real_modes`, built on first use,
+    with rho0's mode coordinates c; None if K profiles of rho0 may not read it.
 
-    :attr:`Superoperator._real_modes` is tried first, then
-    :attr:`Superoperator._complex_modes`; each is built on first use. One
-    that its residual gate refused may still be accurate on the columns a
-    profile reads: the n site projectors and rho0, on the population rows.
-    It is accepted if at each probe step h its ``[G(h) | p(h)]`` is within
-    ``PROB_TOL`` of the Pade exponential's. The generator caches the verdict
-    on G with the factorization, so each call compares only the p(h) column.
+    A factorization that its residual gate refused may still be accurate on
+    the columns a profile reads: the n site projectors and rho0, on the
+    population rows. It is accepted if at each probe step h its ``[G(h) |
+    p(h)]`` is within ``PROB_TOL`` of the Pade exponential's. The generator
+    caches the verdict on G with the factorization, so each call compares
+    only the p(h) column.
     """
+    modes = generator._real_modes
+    if modes is None:
+        return None
     r0 = hermitian_coords(rho0)
-    for name in ("_real_modes", "_complex_modes"):  # in turn: each is built on first use
-        modes = getattr(generator, name)
-        if modes is None:
-            continue
-        c = (modes.inv @ r0).view(np.float64)
-        if not modes.probed or modes.meets(
-                c[None], {h: rows @ r0 for h, rows in generator._probe_rows.items()}):
-            return modes, c
-    return None
+    c = modes.inv @ r0
+    if modes.probed and not modes.meets(
+            c[None], {h: rows @ r0 for h, rows in generator._probe_rows.items()}):
+        return None
+    return modes, c
 
 
 def _exp_grid(w: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -421,7 +418,7 @@ def _superop_populations(generator: Superoperator, rho0: np.ndarray, s: np.ndarr
     product of a coarse and a fine table of :func:`_exp_grid`, with entries
     below ``sqrt(tiny)`` dropped from each: a term it drops from p is below
     ``sqrt(tiny) max|read| max|c|`` (about 1.5e-154 times that), and likewise
-    for G. Where :func:`_profile_factors` refuses both factorizations, the
+    for G. Where :func:`_profile_factors` refuses the factorization, the
     generator's one Pade exponential (``Superoperator._expm_matrix``, real in
     Hermitian coordinates, as for states) steps along the grid, carrying rho0
     and the n site projectors (the columns of G).

@@ -22,10 +22,11 @@ States and K(s, t) profiles factor a superoperator apart. States take the
 complex eigendecomposition of the matrix if it reconstructs the matrix to
 ``SPECTRAL_RESIDUAL_TOL``. K profiles read :attr:`Superoperator.real_form`'s
 own real eigendecomposition, its conjugate pairs folded into real
-coordinates (:class:`_Modes`), and only where that is refused, the complex
-one. Each is eigendecomposed once, behind two gates: its own reconstruction
+coordinates (:class:`_Modes`), behind two gates: its own reconstruction
 residual, or else the population columns a profile reads meeting the Pade
-exponential's to ``PROB_TOL`` at ``_PROBE_TIMES``.
+exponential's to ``PROB_TOL`` at ``_PROBE_TIMES``. Each factorization is
+computed once per superoperator; where its gates refuse it, the route is
+the Pade exponential.
 """
 from __future__ import annotations
 
@@ -206,9 +207,9 @@ class _Modes(NamedTuple):
     """A factorization of :attr:`Superoperator.real_form` as K profiles read it,
     in real arithmetic.
 
-    The mode coordinates of Hermitian coordinates r are ``inv @ r``, read as
-    float64: first 2m pair coordinates, (Re, Im) of the complex coordinate
-    of each of m modes, then one per real mode. Time tau multiplies complex
+    The mode coordinates of Hermitian coordinates r are ``inv @ r``: first 2m
+    pair coordinates, (Re, Im) of the complex coordinate of each of m modes,
+    then one per real mode. Time tau multiplies complex
     mode j by ``e^{rates_j tau}`` and real mode i by ``e^{real_rates_i tau}``,
     and ``coordinates @ read`` are the site populations. ``sites`` holds the
     coordinates of the n site projectors ``|y><y|``, one per row.
@@ -216,7 +217,7 @@ class _Modes(NamedTuple):
 
     rates: np.ndarray       # (m,) complex
     real_rates: np.ndarray  # (r,) real
-    inv: np.ndarray         # (2m + r, n^2) real, or (m, n^2) complex
+    inv: np.ndarray         # (2m + r, n^2) real
     sites: np.ndarray       # (n, 2m + r) real
     read: np.ndarray        # (2m + r, n) real
     probed: bool            # refused by its residual gate: each start state is probed
@@ -251,9 +252,9 @@ class Superoperator:
     :func:`hermitian_basis`, built once on first use. A map without a real
     form (one that does not preserve Hermiticity) has no Pade fallback.
     K(s, t) profiles read :attr:`_real_modes`, the real eigendecomposition
-    of :attr:`real_form`, and where it is refused :attr:`_complex_modes`,
-    :attr:`_eig` in the same real coordinates; each is gated by its own
-    residual or else by a probe against :attr:`_probe_rows`.
+    of :attr:`real_form`, gated by its own residual or else by a probe
+    against :attr:`_probe_rows`; where it is refused, they take the Pade
+    exponential too.
     :meth:`expm_apply` acts on one matrix or on a (k, n, n) stack, such as
     the n start states of ``dqc`` at one time.
     """
@@ -274,8 +275,7 @@ class Superoperator:
     def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
         """The matrix's one eigensolve ``M = V diag(w) V^{-1}``, as ``(w, V, V^{-1},
         residual)`` with the reconstruction residual relative to ``max(1, max|M|)``;
-        None if LAPACK fails. States read it; K profiles only where
-        :attr:`_real_modes` is refused."""
+        None if LAPACK fails. States read it; K profiles never do."""
         try:
             w, v = np.linalg.eig(self.matrix)
             vinv = np.linalg.inv(v)
@@ -299,19 +299,6 @@ class Superoperator:
         :data:`_PROBE_TIMES`, for the K-profile probe of ``dynamics``."""
         return {h: self._expm_matrix(h)[:self.dim] for h in _PROBE_TIMES}
 
-    def _gated(self, rates: np.ndarray, real_rates: np.ndarray, inv: np.ndarray,
-               read: np.ndarray, residual: float) -> _Modes | None:
-        """A factorization as :class:`_Modes`, or None if its residual fails
-        ``SPECTRAL_RESIDUAL_TOL`` and the populations of the site projectors
-        miss :attr:`_probe_rows`: a verdict that no start state changes."""
-        n = self.dim
-        modes = _Modes(rates, real_rates, inv, np.ascontiguousarray(inv[:, :n].T).view(np.float64),
-                       read, not residual <= SPECTRAL_RESIDUAL_TOL)  # a NaN is refused too
-        if modes.probed and not modes.meets(
-                modes.sites, {h: rows[:, :n].T for h, rows in self._probe_rows.items()}):
-            return None
-        return modes
-
     @cached_property
     def _real_modes(self) -> _Modes | None:
         """The one real eigensolve (dgeev) of R = :attr:`real_form`, for K profiles.
@@ -322,9 +309,12 @@ class Superoperator:
         pair, its part of ``e^{R tau} y`` is ``Re(conj(x) e^{conj(w) tau} (phi +
         i chi) y)``: the 2 of the fold and the 1/2 of the real basis cancel.
         So the basis and its inverse are the read-out and the coordinates of
-        :class:`_Modes` as they stand, at rates ``conj(w)``. None if LAPACK
-        fails or :meth:`_gated` refuses it. Raises ArithmeticError where the
-        map has no real form.
+        :class:`_Modes` as they stand, at rates ``conj(w)``.
+
+        None if LAPACK fails, or if the reconstruction residual fails
+        ``SPECTRAL_RESIDUAL_TOL`` and the populations of the n site projectors
+        miss :attr:`_probe_rows`: a verdict that no start state changes.
+        Raises ArithmeticError where the map has no real form.
         """
         r = self.real_form
         try:
@@ -341,27 +331,13 @@ class Superoperator:
         image[:, :m].view(np.complex128)[...] *= w[pair]
         image[:, m:] *= w[real].real
         residual = np.abs(image @ inv - r).max() / max(1.0, np.abs(r).max())
-        return self._gated(w[pair].conj(), w[real].real, inv, basis[:self.dim].T.copy(),
-                           residual)
-
-    @cached_property
-    def _complex_modes(self) -> _Modes | None:
-        """:attr:`_eig` as :class:`_Modes` of :attr:`real_form`, for K profiles
-        that :attr:`_real_modes` refuses.
-
-        In Hermitian coordinates the eigenvectors are ``T^H V`` and the
-        coordinates ``V^{-1} T``. All n^2 modes stay complex: mode k's part of
-        the populations is ``Re(V_dk e^{w_k tau} (V^{-1} T r)_k)``, so the read-out
-        is ``conj(V_d)`` as floats. None if LAPACK fails or :meth:`_gated`
-        refuses it.
-        """
-        if self._eig is None:
-            return None
-        w, v, vinv, residual = self._eig
         n = self.dim
-        d = np.arange(n) * (n + 1)
-        inv = _hermitian_rows(vinv.conj().T, n).conj().T  # V^{-1} T, as T^H (T^H V^{-H})^H
-        return self._gated(w, np.empty(0), inv, v[d].conj().view(np.float64).T, residual)
+        modes = _Modes(w[pair].conj(), w[real].real, inv, np.ascontiguousarray(inv[:, :n].T),
+                       basis[:n].T.copy(), not residual <= SPECTRAL_RESIDUAL_TOL)  # NaN too
+        if modes.probed and not modes.meets(
+                modes.sites, {h: rows[:, :n].T for h, rows in self._probe_rows.items()}):
+            return None
+        return modes
 
     @cached_property
     def real_form(self) -> np.ndarray:

@@ -34,6 +34,7 @@ node, and all n start nodes of one time are evolved and compared as one
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Sequence
@@ -221,9 +222,6 @@ def kbar_curve(graph: Graph, model: EvolutionModel, node: int,
     # the first point runs here: it fills the caches the workers then share
     values = [one(t) for t in t_arr[:1]]
     if threads > 1 and len(t_arr) > 2:
-        # imported here, where a pool starts: it loads logging, which no other path needs
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             values += pool.map(one, t_arr[1:])
     else:

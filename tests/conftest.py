@@ -39,12 +39,10 @@ def expm_spy():
 def forced_pade():
     """Send every superoperator to the Pade route, for states and K profiles
     alike, even one whose factorizations are already cached: states read
-    ``Superoperator._eig``, K profiles ``_real_modes`` and then
-    ``_complex_modes``. Yields an :func:`expm_spy`."""
+    ``Superoperator._eig``, K profiles ``_real_modes``. Yields an :func:`expm_spy`."""
     none = property(lambda self: None)
     with mock.patch.object(Superoperator, "_eig", none), \
-            mock.patch.object(Superoperator, "_real_modes", none), \
-            mock.patch.object(Superoperator, "_complex_modes", none), expm_spy() as spy:
+            mock.patch.object(Superoperator, "_real_modes", none), expm_spy() as spy:
         yield spy
 
 
