@@ -209,9 +209,9 @@ class _Modes(NamedTuple):
 
     The mode coordinates of Hermitian coordinates r are ``inv @ r``: first 2m
     pair coordinates, (Re, Im) of the complex coordinate of each of m modes,
-    then one per real mode. Time tau multiplies complex
-    mode j by ``e^{rates_j tau}`` and real mode i by ``e^{real_rates_i tau}``,
-    and ``coordinates @ read`` are the site populations. ``sites`` holds the
+    then one per real mode. Time tau multiplies complex mode j by
+    ``e^{rates_j tau}`` and real mode i by ``e^{real_rates_i tau}``, and
+    ``coordinates @ read`` are the site populations. ``sites`` holds the
     coordinates of the n site projectors ``|y><y|``, one per row.
     """
 
