@@ -26,7 +26,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,8 +148,7 @@ def _meta(args: argparse.Namespace, graph: Graph) -> dict[str, str]:
 def cmd_kbar(args: argparse.Namespace) -> SweepSeries:
     graph = _build_graph(args)
     times = np.linspace(0.0, args.tmax, args.steps + 1)[1:]
-    curve = kbar_curve(graph, _model(args), args.node, times,
-                       quad_points=args.quad_points, threads=args.threads)
+    curve = kbar_curve(graph, _model(args), args.node, times, quad_points=args.quad_points)
     rows = [(float(t), float(v)) for t, v in zip(curve.times, curve.values)]
     return SweepSeries(_meta(args, graph), ("t", "value"), rows)
 
@@ -220,8 +218,8 @@ def _write_series(series: SweepSeries, args: argparse.Namespace) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common, node, tmax, threads, final_t, series = (
-        argparse.ArgumentParser(add_help=False, allow_abbrev=False) for _ in range(6))
+    common, node, tmax, final_t, series = (
+        argparse.ArgumentParser(add_help=False, allow_abbrev=False) for _ in range(5))
     common.add_argument("--graph", type=_GRAPH, required=True,
                         help="cycle|complete|path|file:PATH")
     common.add_argument("--n", type=_ranged(int, lambda v: v >= 2, ">= 2"),
@@ -231,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="file of key=value lines, read as --key=value")
     node.add_argument("--node", type=_ranged(int, lambda v: v >= 0, ">= 0"), default=0)
     tmax.add_argument("--tmax", type=_TIME, required=True)
-    threads.add_argument("--threads", type=_COUNT, default=max(1, os.cpu_count() or 1))
     final_t.add_argument("--t", type=_TIME, required=True, help="final time of the profile")
     series.add_argument("--steps", type=_COUNT, default=200)
     # Only kbar integrates; kst and dqc record --quad-points as metadata. They
@@ -248,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nonclassicality sweeps for continuous-time quantum walks")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, run, parents in (
-            ("kbar", cmd_kbar, [common, node, tmax, threads, series]),
+            ("kbar", cmd_kbar, [common, node, tmax, series]),
             ("kst", cmd_kst, [common, node, final_t, series]),
             ("dqc", cmd_dqc, [common, tmax, series]),
             ("asymptote", cmd_asymptote, [common, node]),

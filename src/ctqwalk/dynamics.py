@@ -13,9 +13,14 @@ Three named evolution models plus a fully custom one:
   solution is a double sum over eigenspace projectors.
 - ``custom``: arbitrary (rate, operator) jump list.
 
+K(s, t) profiles read site populations from one kernel,
+``linalg._Modes.advance``, over the modes of the model's provider: the
+Laplacian eigenbasis (unitary, energy dephasing) or the superoperator's
+real factorization (site dephasing, custom), whose Pade exponential steps
+where that factorization is refused.
+
 Units: the hopping rate and hbar are both 1, so time and energy are
-dimensionless. No operation mutates its inputs; propagation over a time
-grid is safe to parallelize.
+dimensionless. No operation mutates its inputs.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ import numpy as np
 from .graphs import Graph, SpectralDecomposition
 from .linalg import (HERMITICITY_TOL, IMAG_TOL, PROB_TOL, STATE_PSD_TOL, STATIONARY_TOL,
                      TRACE_TOL, Superoperator, _as_readonly, _check_square, _check_time,
-                     hermitian_coords, vectorize_lindblad)
+                     _Modes, hermitian_coords, vectorize_lindblad)
 
 MODEL_KINDS = ("unitary", "site-dephasing", "energy-dephasing", "custom")
 
@@ -183,8 +188,8 @@ def propagate_energy_closed_form(graph: Graph, gamma: float, rho0: DensityMatrix
     over the eigenvalue groups of ``graph.spectrum``; populations in the
     energy eigenbasis are left unchanged and cross-eigenspace coherences decay.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    if not 0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     _check_time(t)
     if rho0.dim != graph.n:
         raise ValueError(f"state dim {rho0.dim} does not match graph size {graph.n}")
@@ -295,45 +300,28 @@ class Propagator:
         return DensityMatrix(_hermitize(self.evolve_matrix(rho0.matrix, t)))
 
     @cached_property
-    def _eigen_pairs(self) -> _EigenPairs:
-        return _eigen_pairs(self.graph.spectrum)
+    def _eigen_modes(self) -> _Modes:
+        return _eigen_modes(self.graph.spectrum, self.model.gamma)
 
     def _populations(self, rho0: np.ndarray, s: np.ndarray):
         """``(p, act)`` of rho0 on the grid s from this model's population provider."""
         if self.model.kind in ("unitary", "energy-dephasing"):
-            return _eigen_populations(self._eigen_pairs, self.model.gamma, rho0, s)
+            u = self.graph.spectrum.eigenvectors
+            c = (u.conj().T @ rho0 @ u)[np.triu_indices(len(u))]
+            return _mode_populations(self._eigen_modes, c.view(np.float64), s)
         return _superop_populations(self.generator, rho0, s)
 
 
 # Population providers for K(s, t) profiles. Each maps rho0 and a uniform grid
 # s = linspace(0, t, q) to ``(p, act)``: ``p[k]`` holds the site populations
 # of e^{L s_k} rho0, and ``act(P)[k] = G(s_k) P[k]`` for a (q, n) stack P, with
-# ``G(tau)[x, y] = <x| e^{L tau}(|y><y|) |x>``. Both providers' are real
-# float64 by construction; the caller still checks the imaginary residue.
+# ``G(tau)[x, y] = <x| e^{L tau}(|y><y|) |x>``. Both providers build
+# :class:`_Modes` and run :func:`_mode_populations` over them; only the Pade
+# fallback steps otherwise. Both are real float64 by construction; the caller
+# still checks the imaginary residue.
 
-class _EigenPairs(NamedTuple):
-    """Tables of the eigenbasis provider over the P = n(n+1)/2 pairs a <= b of
-    Laplacian eigenvectors; they depend on the spectrum alone."""
-
-    u: np.ndarray       # (n, n) eigenvectors
-    rows: np.ndarray    # (P,) a of each pair
-    cols: np.ndarray    # (P,) b of each pair
-    gap: np.ndarray     # (P,) l_a - l_b of the group-representative eigenvalues
-    weight: np.ndarray  # (P,) 1 on a diagonal pair, 2 off it
-    m: np.ndarray       # (n, P) C-contiguous, m[y, (a, b)] = conj(U_ya) U_yb
-
-
-def _eigen_pairs(spec: SpectralDecomposition) -> _EigenPairs:
-    u = spec.eigenvectors
-    a, b = np.triu_indices(len(u))
-    lam = np.repeat(spec.group_eigenvalues(), [len(g) for g in spec.groups])
-    return _EigenPairs(u, a, b, lam[a] - lam[b], np.where(a == b, 1.0, 2.0),
-                       _as_readonly(u.conj()[:, a] * u[:, b]))
-
-
-def _eigen_populations(pairs: _EigenPairs, gamma: float, rho0: np.ndarray,
-                       s: np.ndarray):
-    """Populations in the Laplacian eigenbasis: unitary (gamma = 0) or energy dephasing.
+def _eigen_modes(spec: SpectralDecomposition, gamma: float) -> _Modes:
+    """The Laplacian eigenbasis as modes: unitary (gamma = 0) or energy dephasing.
 
     Both act there as ``X -> X o Phi(tau)``, ``Phi_ab = exp((-i(l_a - l_b) -
     (gamma/2)(l_a - l_b)^2) tau)``, so both parts are ``diag U (X o Phi(s_k)) U^H``,
@@ -343,33 +331,49 @@ def _eigen_populations(pairs: _EigenPairs, gamma: float, rho0: np.ndarray,
 
     Both X are Hermitian and ``Phi_ba = conj(Phi_ab)``, so the (b, a) term of
     the diagonal is the conjugate of the (a, b) term: the sum runs over the
-    pairs a <= b of :func:`_eigen_pairs`, each off-diagonal one counting twice
-    its real part (a weight that Phi carries). As ``Re(z conj(w)) = Re z Re w +
-    Im z Im w``, that is one real gemm of the (Re, Im) float views of
-    ``X o Phi`` and of M, and ``P @ M`` is a real gemm on the float view of M;
-    the populations come out real.
+    P = n(n+1)/2 pairs a <= b, each off-diagonal one counting twice its real
+    part (a weight that the read-out carries). As ``Re(z conj(w)) = Re z Re w
+    + Im z Im w``, the modes are the pairs, with no real mode: the rates are
+    the exponents of Phi, the coordinates of X its entries ``X_ab`` as (Re, Im)
+    float views, ``sites`` the float view of M and ``read`` that of the
+    weighted M, transposed. The coordinates of rho0 are ``(U^H rho0 U)[a, b]``.
 
-    Phi is the :func:`_exp_grid` table of the n(n+1)/2 rates, which drops
-    entries below ``sqrt(tiny)`` (about 1.5e-154) from its two factors. The
-    rates have ``Re <= 0``, so a term it drops is below ``2 sqrt(tiny) |X_ab|
-    max|U|^2``, where ``|X_ab| <= 1`` for p and ``|X_ab| <= max|P_k|`` for G.
+    The tables of :func:`_exp_grid` drop entries below ``sqrt(tiny)`` (about
+    1.5e-154) from their two factors. The rates have ``Re <= 0``, so a term it
+    drops is below ``2 sqrt(tiny) |X_ab| max|U|^2``, where ``|X_ab| <= 1`` for
+    p and ``|X_ab| <= max|P_k|`` for G.
     """
-    u, rows, cols, gap, weight, m = pairs
-    phase = np.multiply(_exp_grid(gap * (-1j - 0.5 * gamma * gap), s).T, weight, order="C")
-    read = m.view(np.float64).T
+    u = spec.eigenvectors
+    a, b = np.triu_indices(len(u))
+    lam = np.repeat(spec.group_eigenvalues(), [len(g) for g in spec.groups])
+    gap = lam[a] - lam[b]
+    m = _as_readonly(u.conj()[:, a] * u[:, b])  # C-contiguous, for its float view
+    # a transposed view: a C-ordered copy would change the gemm's summation order
+    read = (m * np.where(a == b, 1.0, 2.0)).view(np.float64).T
+    return _Modes(gap * (-1j - 0.5 * gamma * gap), np.empty(0), m.view(np.float64), read)
 
-    def act(pops: np.ndarray) -> np.ndarray:
-        x = (pops @ m.view(np.float64)).view(np.complex128)
-        x *= phase
-        return x.view(np.float64) @ read
 
-    x0 = (u.conj().T @ rho0 @ u)[rows, cols]
-    return (x0 * phase).view(np.float64) @ read, act
+def _mode_populations(modes: _Modes, c: np.ndarray, s: np.ndarray):
+    """``(p, act)`` of the mode coordinates c (float) on the grid s, in real arithmetic.
+
+    ``p = (e^{ws} o c) @ read`` and ``G(s) P = (e^{ws} o (P @ sites)) @ read``:
+    two real gemms around the tables, which scale each real mode and rotate
+    each complex one (its (Re, Im) coordinate pair, read as one complex
+    number). Each table is the product of a coarse and a fine table of
+    :func:`_exp_grid`, with entries below ``sqrt(tiny)`` dropped from each: a
+    term it drops from p is below ``sqrt(tiny) max|read| max|c|`` (about
+    1.5e-154 times that), and likewise for G.
+    """
+    pair, real = (np.ascontiguousarray(_exp_grid(w, s).T)
+                  for w in (modes.rates, modes.real_rates))
+    p = modes.advance(np.tile(c, (len(s), 1)), pair, real)
+    return p, lambda pops: modes.advance(pops @ modes.sites, pair, real)
 
 
 def _profile_factors(generator: Superoperator, rho0: np.ndarray):
-    """``(modes, c)``: :attr:`Superoperator._real_modes`, built on first use,
-    with rho0's mode coordinates c; None if K profiles of rho0 may not read it.
+    """``(modes, c)``: the modes of :attr:`Superoperator._real_modes`, built on
+    first use, with rho0's mode coordinates c; None if K profiles of rho0 may
+    not read them.
 
     A factorization that its residual gate refused may still be accurate on
     the columns a profile reads: the n site projectors and rho0, on the
@@ -378,12 +382,13 @@ def _profile_factors(generator: Superoperator, rho0: np.ndarray):
     caches the verdict on G with the factorization, so each call compares
     only the p(h) column.
     """
-    modes = generator._real_modes
-    if modes is None:
+    factors = generator._real_modes
+    if factors is None:
         return None
+    modes, inv, probed = factors
     r0 = hermitian_coords(rho0)
-    c = modes.inv @ r0
-    if modes.probed and not modes.meets(
+    c = inv @ r0
+    if probed and not modes.meets(
             c[None], {h: rows @ r0 for h, rows in generator._probe_rows.items()}):
         return None
     return modes, c
@@ -409,16 +414,8 @@ def _exp_grid(w: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _superop_populations(generator: Superoperator, rho0: np.ndarray, s: np.ndarray):
-    """Populations through the modes of :func:`_profile_factors`, in real arithmetic.
-
-    With ``c`` the mode coordinates of rho0, ``p = (e^{ws} o c) @ read`` and
-    ``G(s) P = (e^{ws} o (P @ sites)) @ read``: two real gemms around the
-    tables, which scale each real mode and rotate each complex one (its
-    (Re, Im) coordinate pair, read as one complex number). Each table is the
-    product of a coarse and a fine table of :func:`_exp_grid`, with entries
-    below ``sqrt(tiny)`` dropped from each: a term it drops from p is below
-    ``sqrt(tiny) max|read| max|c|`` (about 1.5e-154 times that), and likewise
-    for G. Where :func:`_profile_factors` refuses the factorization, the
+    """Populations through the modes of :func:`_profile_factors`, by
+    :func:`_mode_populations`. Where it refuses the factorization, the
     generator's one Pade exponential (``Superoperator._expm_matrix``, real in
     Hermitian coordinates, as for states) steps along the grid, carrying rho0
     and the n site projectors (the columns of G).
@@ -426,11 +423,7 @@ def _superop_populations(generator: Superoperator, rho0: np.ndarray, s: np.ndarr
     n = generator.dim
     factors = _profile_factors(generator, rho0)
     if factors is not None:
-        modes, c = factors
-        pair, real = (np.ascontiguousarray(_exp_grid(w, s).T)
-                      for w in (modes.rates, modes.real_rates))
-        p = modes.advance(np.tile(c, (len(s), 1)), pair, real)
-        return p, lambda pops: modes.advance(pops @ modes.sites, pair, real)
+        return _mode_populations(*factors, s)
 
     step = generator._expm_matrix(s[1])
     b = np.zeros((n * n, n + 1))

@@ -22,11 +22,14 @@ States and K(s, t) profiles factor a superoperator apart. States take the
 complex eigendecomposition of the matrix if it reconstructs the matrix to
 ``SPECTRAL_RESIDUAL_TOL``. K profiles read :attr:`Superoperator.real_form`'s
 own real eigendecomposition, its conjugate pairs folded into real
-coordinates (:class:`_Modes`), behind two gates: its own reconstruction
-residual, or else the population columns a profile reads meeting the Pade
-exponential's to ``PROB_TOL`` at ``_PROBE_TIMES``. Each factorization is
-computed once per superoperator; where its gates refuse it, the route is
-the Pade exponential.
+coordinates, behind two gates: its own reconstruction residual, or else the
+population columns a profile reads meeting the Pade exponential's to
+``PROB_TOL`` at ``_PROBE_TIMES``. Each factorization is computed once per
+superoperator; where its gates refuse it, the route is the Pade exponential.
+
+:class:`_Modes` holds such real mode coordinates, and its :meth:`_Modes.advance`
+is the one kernel of every K profile: the Laplacian eigenbasis of
+``dynamics`` (unitary and energy dephasing) is built as ``_Modes`` too.
 """
 from __future__ import annotations
 
@@ -204,23 +207,23 @@ def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Modes(NamedTuple):
-    """A factorization of :attr:`Superoperator.real_form` as K profiles read it,
-    in real arithmetic.
+    """Mode coordinates as K profiles read them, in real arithmetic, and the one
+    kernel that advances them (:meth:`advance`). Two providers build them: the
+    real factorization of :attr:`Superoperator.real_form` and the Laplacian
+    eigenbasis of ``dynamics``; each maps a start state to its coordinates.
 
-    The mode coordinates of Hermitian coordinates r are ``inv @ r``: first 2m
-    pair coordinates, (Re, Im) of the complex coordinate of each of m modes,
-    then one per real mode. Time tau multiplies complex mode j by
-    ``e^{rates_j tau}`` and real mode i by ``e^{real_rates_i tau}``, and
-    ``coordinates @ read`` are the site populations. ``sites`` holds the
-    coordinates of the n site projectors ``|y><y|``, one per row.
+    Coordinates y (k, 2m + r) hold first 2m pair coordinates, (Re, Im) of the
+    complex coordinate of each of m modes, then one per real mode. Time tau
+    multiplies complex mode j by ``e^{rates_j tau}`` and real mode i by
+    ``e^{real_rates_i tau}``, and ``y @ read`` are the site populations.
+    ``sites`` holds the coordinates of the n site projectors ``|y><y|``, one
+    per row.
     """
 
     rates: np.ndarray       # (m,) complex
     real_rates: np.ndarray  # (r,) real
-    inv: np.ndarray         # (2m + r, n^2) real
     sites: np.ndarray       # (n, 2m + r) real
     read: np.ndarray        # (2m + r, n) real
-    probed: bool            # refused by its residual gate: each start state is probed
 
     def advance(self, y: np.ndarray, pair: np.ndarray, real: np.ndarray) -> np.ndarray:
         """Populations of the C-contiguous coordinates y (k, 2m + r), advanced in
@@ -300,21 +303,23 @@ class Superoperator:
         return {h: self._expm_matrix(h)[:self.dim] for h in _PROBE_TIMES}
 
     @cached_property
-    def _real_modes(self) -> _Modes | None:
-        """The one real eigensolve (dgeev) of R = :attr:`real_form`, for K profiles.
+    def _real_modes(self) -> tuple[_Modes, np.ndarray, bool] | None:
+        """``(modes, inv, probed)``: the one real eigensolve (dgeev) of R =
+        :attr:`real_form`, for K profiles.
 
         Its conjugate pairs are exact, so each pair keeps one eigenvector x,
         of eigenvalue w, with the real basis columns (Re x, Im x); a real mode
         keeps its vector. With phi, chi the rows of the real inverse for the
         pair, its part of ``e^{R tau} y`` is ``Re(conj(x) e^{conj(w) tau} (phi +
         i chi) y)``: the 2 of the fold and the 1/2 of the real basis cancel.
-        So the basis and its inverse are the read-out and the coordinates of
-        :class:`_Modes` as they stand, at rates ``conj(w)``.
+        So the basis is the read-out of :class:`_Modes` as it stands, at rates
+        ``conj(w)``, and the mode coordinates of Hermitian coordinates r are
+        ``inv @ r``. ``probed``: the reconstruction residual failed
+        ``SPECTRAL_RESIDUAL_TOL``, so each start state is probed too.
 
-        None if LAPACK fails, or if the reconstruction residual fails
-        ``SPECTRAL_RESIDUAL_TOL`` and the populations of the n site projectors
-        miss :attr:`_probe_rows`: a verdict that no start state changes.
-        Raises ArithmeticError where the map has no real form.
+        None if LAPACK fails, or if the residual fails and the populations of
+        the n site projectors miss :attr:`_probe_rows`: a verdict that no start
+        state changes. Raises ArithmeticError where the map has no real form.
         """
         r = self.real_form
         try:
@@ -332,12 +337,13 @@ class Superoperator:
         image[:, m:] *= w[real].real
         residual = np.abs(image @ inv - r).max() / max(1.0, np.abs(r).max())
         n = self.dim
-        modes = _Modes(w[pair].conj(), w[real].real, inv, np.ascontiguousarray(inv[:, :n].T),
-                       basis[:n].T.copy(), not residual <= SPECTRAL_RESIDUAL_TOL)  # NaN too
-        if modes.probed and not modes.meets(
+        modes = _Modes(w[pair].conj(), w[real].real, np.ascontiguousarray(inv[:, :n].T),
+                       basis[:n].T.copy())
+        probed = not residual <= SPECTRAL_RESIDUAL_TOL  # NaN too
+        if probed and not modes.meets(
                 modes.sites, {h: rows[:, :n].T for h, rows in self._probe_rows.items()}):
             return None
-        return modes
+        return modes, inv, probed
 
     @cached_property
     def real_form(self) -> np.ndarray:

@@ -21,7 +21,9 @@ matrix. Sweeps evaluate every s of the uniform grid ``linspace(0, t, points)``
 at once, with one reduction fed by the population provider that
 ``dynamics.Propagator`` picks for the model: the Laplacian eigenbasis
 (unitary and energy dephasing) or the superoperator (site dephasing and
-custom jumps). :func:`kolmogorov_k` instead propagates the full difference
+custom jumps). Both advance their mode coordinates by one kernel,
+``linalg._Modes.advance``, and a sweep maps its final times serially.
+:func:`kolmogorov_k` instead propagates the full difference
 ``rho(s) - Delta rho(s)`` for one s. ``kbar`` averages K(s, t) uniformly
 over s in [0, t] with composite Simpson quadrature.
 
@@ -33,8 +35,6 @@ node, and all n start nodes of one time are evolved and compared as one
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Sequence
@@ -204,28 +204,17 @@ class KbarCurve:
 
 def kbar_curve(graph: Graph, model: EvolutionModel, node: int,
                times: Sequence[float],
-               quad_points: int = DEFAULT_QUAD_POINTS,
-               threads: int = 1) -> KbarCurve:
+               quad_points: int = DEFAULT_QUAD_POINTS) -> KbarCurve:
     """Averaged violation on a grid of final times, one quadrature per point.
 
-    Grid points are independent, so with ``threads > 1`` they are farmed out
-    to at most ``min(threads, os.cpu_count())`` workers, in grid order.
+    One :class:`Propagator` serves the grid, so its factorization and tables
+    are built by the first point and read by the rest.
     """
     q = _check_quad_points(quad_points)
     prop = Propagator(graph, model)
     rho0 = localized_state(graph, node).matrix
     t_arr = _check_times(list(times))
-
-    def one(t: float) -> float:
-        return _simpson_mean(_k_profile(prop._populations, rho0, t, q), t)
-
-    # the first point runs here: it fills the caches the workers then share
-    values = [one(t) for t in t_arr[:1]]
-    if threads > 1 and len(t_arr) > 2:
-        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-            values += pool.map(one, t_arr[1:])
-    else:
-        values += map(one, t_arr[1:])
+    values = [_simpson_mean(_k_profile(prop._populations, rho0, t, q), t) for t in t_arr]
     return KbarCurve(times=t_arr, values=np.array(values, dtype=np.float64))
 
 
@@ -391,10 +380,12 @@ def kbar_bound_site_dephasing(graph: Graph, gamma: float, t: float,
     """
     if not graph.connected:
         raise ValueError("bound requires a connected graph (unique stationary state)")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if not 0 < t < np.inf:
         raise ValueError(f"t must be finite and positive, got {t}")
+    if mu2 is not None and not 0 < mu2 < np.inf:
+        raise ValueError(f"mu2 must be finite and positive, got {mu2}")
     if mu2 is None:
         gen = make_generator(graph, EvolutionModel.site_dephasing(gamma))
         gap = spectral_gap(gen)

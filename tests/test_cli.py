@@ -106,17 +106,6 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_threads_do_not_change_bytes(tmp_path, capsys):
-    base = ["kbar", "--graph", "cycle", "--n", "4", "--model", "site-dephasing",
-            "--gamma", "1.0", "--tmax", "2.0", "--steps", "8", "--no-timestamp"]
-    a = tmp_path / "serial.csv"
-    b = tmp_path / "pooled.csv"
-    assert main(base + ["--threads", "1", "--out", str(a)]) == 0
-    assert main(base + ["--threads", "3", "--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_timestamp_present_unless_suppressed(tmp_path, capsys):
     out_path = tmp_path / "ts.csv"
     assert main(["kbar", "--graph", "cycle", "--n", "3", "--tmax", "1.0",
@@ -340,12 +329,11 @@ def test_invalid_flags_exit_nonzero(tmp_path, capsys):
 
 
 _FLAGS = ("--graph", "--n", "--model", "--gamma", "--config", "--node", "--tmax",
-          "--threads", "--t", "--steps", "--quad-points", "--format", "--out",
-          "--no-timestamp")
+          "--t", "--steps", "--quad-points", "--format", "--out", "--no-timestamp")
 _SERIES = ("--steps", "--quad-points", "--format", "--out", "--no-timestamp")
 _COMMON = ("--graph", "--n", "--model", "--gamma", "--config")
 _DECLARED = {
-    "kbar": _COMMON + ("--node", "--tmax", "--threads") + _SERIES,
+    "kbar": _COMMON + ("--node", "--tmax") + _SERIES,
     "kst": _COMMON + ("--node", "--t") + _SERIES,
     "dqc": _COMMON + ("--tmax",) + _SERIES,
     "asymptote": _COMMON + ("--node",),
@@ -354,12 +342,12 @@ _DECLARED = {
 
 
 def test_each_command_declares_only_the_flags_it_reads(tmp_path, capsys):
-    assert sum(map(len, _DECLARED.values())) == 47  # of 5 x 14 = 70 before
+    assert sum(map(len, _DECLARED.values())) == 46  # of 5 x 14 = 70 before
     config = tmp_path / "empty.cfg"
     config.write_text("# no entries\n")
     value = {"--graph": "cycle", "--n": "4", "--model": "energy-dephasing",
              "--gamma": "1", "--config": str(config), "--node": "1", "--tmax": "1",
-             "--threads": "1", "--t": "1", "--steps": "2", "--quad-points": "3",
+             "--t": "1", "--steps": "2", "--quad-points": "3",
              "--format": "json", "--out": str(tmp_path / "out.json"), "--no-timestamp": None}
 
     def argv(command, flags):
@@ -380,7 +368,7 @@ def test_unread_and_abbreviated_flags_are_usage_errors(tmp_path, capsys):
     # a prefix of a flag name is not that flag, on the command line or in a file
     kbar = ("kbar", "--graph", "cycle", "--n", "4", "--tmax", "1", "--steps", "1")
     _usage_error(capsys, *kbar, "--quad", "51")
-    for entry in ("quad=51", "thr=1"):
+    for entry in ("quad=51", "gam=1"):
         cfg = tmp_path / "abbrev.cfg"
         cfg.write_text(entry + "\n")
         _usage_error(capsys, *kbar, "--config", str(cfg))

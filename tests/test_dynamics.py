@@ -23,7 +23,7 @@ from ctqwalk import (
 )
 import ctqwalk.dynamics
 from ctqwalk.dynamics import _exp_grid, _profile_factors, _superop_populations
-from ctqwalk.linalg import SuperoperatorSizeError, hermitian_basis
+from ctqwalk.linalg import SuperoperatorSizeError, _Modes, hermitian_basis
 from conftest import apply_map, expm_steps, forced_pade, random_density
 
 
@@ -258,8 +258,8 @@ def test_superop_populations_meet_the_complex_formula(rng):
     projectors = [(2.5, np.diag(np.eye(4)[k])) for k in range(4)]
     no_pairs = vectorize_lindblad(np.zeros((4, 4)), projectors)  # pure dephasing: real spectrum
     gens = [make_generator(g, model) for g, model in cases] + [no_pairs, _rotation_map()]
-    assert len(no_pairs._real_modes.rates) == 0 < len(no_pairs._real_modes.real_rates)
-    assert len(gens[-1]._real_modes.real_rates) == 0 < len(gens[-1]._real_modes.rates)
+    assert len(no_pairs._real_modes[0].rates) == 0 < len(no_pairs._real_modes[0].real_rates)
+    assert len(gens[-1]._real_modes[0].real_rates) == 0 < len(gens[-1]._real_modes[0].rates)
     for gen in gens:
         n = gen.dim
         starts = [np.diag(np.eye(n)[0]).astype(complex), random_density(rng, n)]
@@ -268,10 +268,11 @@ def test_superop_populations_meet_the_complex_formula(rng):
             stack = rng.random((len(s), n))
             for rho0 in starts:
                 p, act = _superop_populations(gen, rho0, s)
-                assert _profile_factors(gen, rho0)[0] is gen._real_modes
+                modes, _, probed = gen._real_modes
+                assert _profile_factors(gen, rho0)[0] is modes
                 # each passes its own residual gate, none probed: the largest
                 # residual, complete-6 at gamma = 1, is 7e-15 against 1e-12
-                assert not gen._real_modes.probed
+                assert not probed
                 p_ref, act_ref = _complex_superop_populations(gen, rho0, s)
                 assert p.dtype == act(stack).dtype == np.float64
                 assert np.abs(p - p_ref).max() < 1e-12
@@ -326,12 +327,27 @@ def test_eigen_populations_exponentiate_only_the_pairs():
     pairs = g.n * (g.n + 1) // 2
     for model in (EvolutionModel.unitary(), EvolutionModel.energy_dephasing(50.0)):
         prop = Propagator(g, model)
-        prop._eigen_pairs  # built before the spies start
+        prop._eigen_modes  # built before the spies start
         with mock.patch.object(ctqwalk.dynamics, "_exp_grid", wraps=_exp_grid) as grid, \
                 mock.patch.object(np, "exp", wraps=np.exp) as exp:
             prop._populations(localized_state(g, 0).matrix, np.linspace(0.0, 7.3, q))
-        assert [len(c.args[0]) for c in grid.call_args_list] == [pairs]
+        # the pairs, and the empty table of the real modes the eigenbasis lacks
+        assert [len(c.args[0]) for c in grid.call_args_list] == [pairs, 0]
         assert sum(np.size(c.args[0]) for c in exp.call_args_list) < g.n ** 2 * q / 4
+
+
+def test_every_k_profile_provider_advances_modes_by_one_kernel():
+    g, s = build_graph("cycle", 6), np.linspace(0.0, 3.0, 21)
+    rho0 = localized_state(g, 0).matrix
+    for model in (EvolutionModel.unitary(), EvolutionModel.energy_dephasing(0.7),
+                  EvolutionModel.site_dephasing(1.0)):
+        prop = Propagator(g, model)
+        with mock.patch.object(_Modes, "advance", autospec=True,
+                               side_effect=_Modes.advance) as spy:
+            p, act = prop._populations(rho0, s)
+            act(p[::-1])
+        # p and G each advance one coordinate row per grid point, and nothing else
+        assert [c.args[1].shape[0] for c in spy.call_args_list] == [len(s)] * 2, model.kind
 
 
 # --- propagate ----------------------------------------------------------------
@@ -457,6 +473,12 @@ def test_energy_closed_form_validates_its_inputs():
     g = build_graph("cycle", 4)
     with pytest.raises(ValueError, match="nonnegative"):
         propagate_energy_closed_form(g, -0.5, localized_state(g, 0), 1.0)
+    # a NaN or infinite rate is refused before the double sum runs
+    with mock.patch.object(ctqwalk.dynamics, "_energy_sum") as energy_sum:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+                propagate_energy_closed_form(g, bad, localized_state(g, 0), 1.0)
+    assert energy_sum.call_count == 0
     with pytest.raises(ValueError, match="does not match graph size"):
         propagate_energy_closed_form(g, 0.5, localized_state(build_graph("cycle", 3), 0), 1.0)
 

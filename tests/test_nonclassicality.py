@@ -1,7 +1,4 @@
 import itertools
-import os
-import threading
-import time
 from functools import cached_property, partial
 from unittest import mock
 
@@ -286,21 +283,11 @@ def test_kbar_curve_matches_pointwise_kbar():
         assert abs(v - kbar(gen, rho0, t)) < 1e-12
 
 
-def test_kbar_curve_threads_deterministic():
-    times = np.linspace(0.2, 3.0, 12)
-    for model in (EvolutionModel.site_dephasing(1.0), EvolutionModel.unitary(),
-                  EvolutionModel.energy_dephasing(0.7)):
-        # a fresh graph per call, so the pooled run starts with nothing cached
-        serial = kbar_curve(build_graph("cycle", 5), model, 0, times, threads=1)
-        pooled = kbar_curve(build_graph("cycle", 5), model, 0, times, threads=4)
-        assert np.array_equal(serial.values, pooled.values), model.kind
-
-
 def test_kbar_curve_builds_the_eigenbasis_pair_tables_once():
-    pairs = ctqwalk.dynamics._eigen_pairs
-    with mock.patch.object(ctqwalk.dynamics, "_eigen_pairs", wraps=pairs) as spy:
+    modes = ctqwalk.dynamics._eigen_modes
+    with mock.patch.object(ctqwalk.dynamics, "_eigen_modes", wraps=modes) as spy:
         kbar_curve(build_graph("cycle", 6), EvolutionModel.energy_dephasing(0.7), 0,
-                   np.linspace(0.1, 3.0, 30), threads=2)
+                   np.linspace(0.1, 3.0, 30))
     assert spy.call_count == 1
 
 
@@ -313,7 +300,7 @@ def test_site_dephasing_kbar_curve_runs_one_real_eigensolve(topology):
     with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig, \
             mock.patch.object(ctqwalk.dynamics, "_profile_factors",
                               wraps=_profile_factors) as factors:
-        kbar_curve(g, model, 0, np.linspace(0.5, 15.0, 30), quad_points=41, threads=2)
+        kbar_curve(g, model, 0, np.linspace(0.5, 15.0, 30), quad_points=41)
     assert eig.call_count == 1 and eig.call_args.args[0].dtype == np.float64
     assert "_eig" not in vars(factors.call_args.args[0])
 
@@ -328,24 +315,6 @@ def test_site_dephasing_dqc_curve_never_builds_the_real_factorization():
                   np.linspace(0.1, 5.0, 10))
     assert spy.call_count == 0
     assert [c.args[0].dtype for c in eig.call_args_list] == [np.complex128]
-
-
-def test_kbar_curve_pool_is_bounded_by_the_cores(monkeypatch):
-    # 7 pooled points and threads=64 must not start more workers than cores;
-    # each point sleeps so that the pool cannot reuse an idle worker early
-    workers = set()
-    simpson = ctqwalk.nonclassicality._simpson_mean
-
-    def slow(vals, t):
-        workers.add(threading.get_ident())
-        time.sleep(0.05)
-        return simpson(vals, t)
-
-    monkeypatch.setattr(ctqwalk.nonclassicality, "_simpson_mean", slow)
-    kbar_curve(build_graph("cycle", 3), EvolutionModel.unitary(), 0,
-               np.linspace(0.5, 4.0, 8), quad_points=5, threads=64)
-    workers.discard(threading.get_ident())
-    assert 1 <= len(workers) <= (os.cpu_count() or 1)
 
 
 def test_k_and_kbar_outside_the_unit_interval_raise():
@@ -741,8 +710,9 @@ def test_probe_sends_a_coherent_start_to_pade():
     assert _profile_factors(gen, rho0.matrix) is None
     # refused by its own column (probe error 5e-9 to 1e-7 by BLAS thread
     # count), not by the cached site columns (7e-14 to 1e-13) nor node 0's (6e-14)
-    assert gen._real_modes.probed
-    assert _profile_factors(gen, localized_state(g, 0).matrix)[0] is gen._real_modes
+    modes, _, probed = gen._real_modes
+    assert probed
+    assert _profile_factors(gen, localized_state(g, 0).matrix)[0] is modes
     t, q = 3.0, 9
     profile = _k_profile(partial(_superop_populations, gen), rho0.matrix, t, q)
     with forced_pade():
@@ -759,10 +729,10 @@ def test_probe_compares_the_site_columns_once_per_generator():
     # thread count) and meets the site probe at 7e-14 to 1e-13
     g, model = build_graph("complete", 16), EvolutionModel.site_dephasing(1.0)
     with mock.patch.object(_Modes, "meets", autospec=True, side_effect=_Modes.meets) as spy:
-        kbar_curve(g, model, 0, np.linspace(0.5, 15.0, 30), quad_points=41, threads=2)
+        kbar_curve(g, model, 0, np.linspace(0.5, 15.0, 30), quad_points=41)
     sites = [c for c in spy.call_args_list if len(c.args[1]) == g.n]
-    assert len(sites) == 1  # the first point, on the calling thread, fills the cache
-    assert sites[0].args[0].probed  # a probed factorization
+    # only a probed factorization compares site columns; the first point caches the verdict
+    assert len(sites) == 1
     assert spy.call_count == 31  # and each of the 30 points compares its own column
 
 
@@ -791,7 +761,8 @@ def test_two_site_unitary_profiles_read_the_real_factors():
     with expm_spy() as spy:
         value = kbar(gen, localized_state(g, 1), np.pi / 2)
     assert expm_steps(spy) == []
-    assert not gen._real_modes.probed and gen.spectral_factors() is None
+    probed = gen._real_modes[2]
+    assert not probed and gen.spectral_factors() is None
     assert abs(value - 0.25) < 1e-14
 
 
@@ -915,6 +886,13 @@ def test_bound_small_time_limit():
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             kbar_bound_site_dephasing(g, 1.0, bad)
+    # a given gap or rate outside (0, inf) would read nan, 0 or a value above sqrt(N)
+    cycle4 = build_graph("cycle", 4)
+    for bad in (np.nan, 0.0, -1.0, np.inf):
+        with pytest.raises(ValueError, match="mu2 must be finite and positive"):
+            kbar_bound_site_dephasing(cycle4, 1.0, 2.0, mu2=bad)
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            kbar_bound_site_dephasing(cycle4, bad, 2.0, mu2=1.0)
 
 
 def test_bound_monotone_decreasing():
