@@ -77,24 +77,30 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class ClassicalDistribution:
-    """Probability vector over graph sites."""
+    """Probability vector over graph sites, or a (k, n) stack of them, such as
+    the n start nodes' classical walks of ``dqc`` at one time; every check
+    holds for each row."""
 
     probs: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
+        if p.ndim not in (1, 2):
+            raise ValueError(f"probabilities must be one vector or a stack, got shape {p.shape}")
         if not np.isfinite(p).all():
             raise ValueError("probabilities must be finite")
         if p.min() < -PROB_TOL:
             raise ValueError(f"negative probability {p.min():.3e}")
         p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {p.sum():.15g}, not 1")
+        total = np.ravel(p.sum(axis=-1))
+        total = total[np.abs(total - 1.0).argmax()]
+        if abs(total - 1.0) > PROB_TOL:
+            raise ValueError(f"probabilities sum to {total:.15g}, not 1")
         object.__setattr__(self, "probs", _as_readonly(p))
 
     @property
     def dim(self) -> int:
-        return self.probs.shape[0]
+        return self.probs.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -198,6 +204,12 @@ def propagate_energy_closed_form(graph: Graph, gamma: float, rho0: DensityMatrix
     return DensityMatrix(_hermitize(out))
 
 
+def _energy_phase(lam: np.ndarray, gamma: float, a: int, b: int, t: float) -> complex:
+    """``exp(-i(l_a-l_b)t - (gamma/2)(l_a-l_b)^2 t)``, the (a, b) weight of the double sum."""
+    gap = lam[a] - lam[b]
+    return np.exp((-1j * gap - 0.5 * gamma * gap * gap) * t)
+
+
 def _energy_sum(projectors: list[np.ndarray], lam: np.ndarray, gamma: float,
                 x: np.ndarray, t: float) -> np.ndarray:
     """``sum_{a,b} P_a x P_b exp(-i(l_a-l_b)t - (gamma/2)(l_a-l_b)^2 t)``, for
@@ -206,24 +218,67 @@ def _energy_sum(projectors: list[np.ndarray], lam: np.ndarray, gamma: float,
     for a, pa in enumerate(projectors):
         left = pa @ x
         for b, pb in enumerate(projectors):
-            gap = lam[a] - lam[b]
-            phase = np.exp((-1j * gap - 0.5 * gamma * gap * gap) * t)
-            out += phase * (left @ pb)
+            out += _energy_phase(lam, gamma, a, b, t) * (left @ pb)
     return out
 
 
-def classical_propagate(graph: Graph, node: int, t: float) -> ClassicalDistribution:
-    """Classical random-walk distribution: column ``nu`` of ``e^{-Lt}``."""
-    if not 0 <= node < graph.n:
-        raise ValueError(f"node {node} out of range for {graph.n} vertices")
+def _energy_sum_sites(projectors: list[np.ndarray], lam: np.ndarray, gamma: float,
+                      nodes: np.ndarray, t: float) -> np.ndarray:
+    """:func:`_energy_sum` of ``|nu><nu|`` for each node nu, as a (k, n, n) stack.
+
+    The projectors are real-valued, so in ``(P_a |nu><nu|) P_b`` every term of
+    both products is an exact zero but one: it is the outer product of column
+    nu of P_a with row nu of P_b. Summed in the same (a, b) order from zeros,
+    that gives :func:`_energy_sum`'s bits, signs of zero included, without
+    its 2 G^2 matrix products. Each outer product is formed when used: all
+    G^2 of them at once would take G^2 n^3 complex numbers.
+    """
+    n = projectors[0].shape[0]
+    out = np.zeros((len(nodes), n, n), dtype=np.complex128)
+    rows = [pb[nodes, None, :] for pb in projectors]
+    for a, pa in enumerate(projectors):
+        col = pa[:, nodes].T[:, :, None]
+        for b, row in enumerate(rows):
+            out += _energy_phase(lam, gamma, a, b, t) * (col * row)
+    return out
+
+
+def _site_projector_nodes(x, n: int) -> np.ndarray | None:
+    """The node nu of each matrix of x (one n x n or a (k, n, n) stack) when
+    each is bitwise the complex ``|nu><nu|``, else None."""
+    if not (isinstance(x, np.ndarray) and x.dtype == np.complex128 and x.ndim in (2, 3)
+            and x.shape[-2:] == (n, n)):
+        return None
+    stack = x.reshape(-1, n, n)
+    sites = np.arange(n)
+    nodes = stack[:, sites, sites].real.argmax(axis=1)
+    want = np.zeros_like(stack)
+    want[np.arange(len(stack)), nodes, nodes] = 1.0
+    return nodes if want.tobytes() == stack.tobytes() else None
+
+
+def classical_propagate(graph: Graph, node, t: float) -> ClassicalDistribution:
+    """Classical random-walk distribution: column ``nu`` of ``e^{-Lt}``; for a
+    sequence of nodes, the (k, n) stack of their columns.
+
+    ``U e^{-lambda t}`` is formed once per call, and each column is its own
+    matrix-vector product with it, the arithmetic a single node takes: one
+    product with all columns at once would round differently.
+    """
+    nodes = np.atleast_1d(np.asarray(node))
+    for nu in nodes:
+        if not 0 <= nu < graph.n:
+            raise ValueError(f"node {nu} out of range for {graph.n} vertices")
     _check_time(t)
     spec = graph.spectrum
     u = spec.eigenvectors
-    p = (u * np.exp(-spec.eigenvalues * t)) @ u.conj().T[:, node]
+    scaled = u * np.exp(-spec.eigenvalues * t)
+    rows = u.conj()  # row nu is column nu of U^H
+    p = np.array([scaled @ rows[nu] for nu in nodes])
     bad = np.abs(np.imag(p)).max()
     if bad > IMAG_TOL:
         raise ArithmeticError(f"classical distribution has imaginary part {bad:.3e}")
-    return ClassicalDistribution(np.real(p))
+    return ClassicalDistribution(np.real(p if np.ndim(node) else p[0]))
 
 
 class SpectralGap(NamedTuple):
@@ -256,7 +311,8 @@ class Propagator:
     :meth:`evolve_matrix` applies ``e^{Lt}`` to one matrix or to a (k, n, n)
     stack (the ``dqc`` start states), each with the arithmetic it has on its
     own: spectral ``e^{-iLt}`` (unitary), the eigenspace closed form (energy
-    dephasing) or the superoperator exponential (site dephasing, custom).
+    dephasing; for site projectors, its outer-product form with the same
+    bits) or the superoperator exponential (site dephasing, custom).
     :meth:`_populations` feeds K(s, t) profiles: the Laplacian eigenbasis for
     unitary and energy dephasing, the superoperator otherwise. The two
     superoperator routes factor the generator apart: states its complex
@@ -284,7 +340,13 @@ class Propagator:
 
     def evolve_matrix(self, x: np.ndarray, t: float) -> np.ndarray:
         """Apply ``e^{Lt}`` to an arbitrary n x n matrix (not only states) or to
-        each matrix of a (k, n, n) stack."""
+        each matrix of a (k, n, n) stack.
+
+        Under energy dephasing, an x whose every matrix is bitwise a site
+        projector ``|nu><nu|`` (the ``dqc`` start states) takes the outer-product
+        form :func:`_energy_sum_sites` of the double sum, with the bits of
+        :func:`_energy_sum`, which any other x takes.
+        """
         _check_time(t)
         if self.model.kind == "unitary":
             w, u = self._laplacian_eigh
@@ -292,7 +354,11 @@ class Propagator:
             return ut @ x @ ut.conj().T
         if self.model.kind == "energy-dephasing":
             projectors, lam = self._group_projectors
-            return _energy_sum(projectors, lam, self.model.gamma, x, t)
+            nodes = _site_projector_nodes(x, self.graph.n)
+            if nodes is None:
+                return _energy_sum(projectors, lam, self.model.gamma, x, t)
+            out = _energy_sum_sites(projectors, lam, self.model.gamma, nodes, t)
+            return out.reshape(np.shape(x))
         return self.generator.expm_apply(t, x)
 
     def density(self, rho0: DensityMatrix, t: float) -> DensityMatrix:

@@ -31,7 +31,8 @@ The single-time benchmark ``dqc`` is one minus the best quantum fidelity
 between the walker's state and the diagonal state of the classical random
 walk generated by the same Laplacian. The best case runs over the start
 node, and all n start nodes of one time are evolved and compared as one
-(n, n, n) stack.
+(n, n, n) stack. Its diagonal classical states take :func:`fidelity`'s
+diagonal route, bit for bit its general one.
 """
 from __future__ import annotations
 
@@ -53,15 +54,16 @@ from .dynamics import (
     spectral_gap,
 )
 from .graphs import Graph, SpectralDecomposition
-from .linalg import IMAG_TOL, PROB_TOL, Superoperator, _check_time, hermitian_sqrt
+from .linalg import (IMAG_TOL, PROB_TOL, PSD_TOL, STATE_PSD_TOL, Superoperator,
+                     _check_hermitian, _check_time, fidelity_tol, hermitian_sqrt)
 
 DEFAULT_QUAD_POINTS = 201
 
 
-def _unit_interval(x, what: str):
-    """``x`` clipped to [0, 1]; beyond ``PROB_TOL`` of rounding it is an error."""
+def _unit_interval(x, what: str, tol: float = PROB_TOL):
+    """``x`` clipped to [0, 1]; beyond ``tol`` of rounding it is an error."""
     lo, hi = np.min(x), np.max(x)
-    if not (lo >= -PROB_TOL and hi <= 1.0 + PROB_TOL):
+    if not (lo >= -tol and hi <= 1.0 + tol):
         raise ArithmeticError(f"{what} leaves [0, 1]: values span [{lo:.17g}, {hi:.17g}]")
     return np.clip(x, 0.0, 1.0)
 
@@ -237,14 +239,36 @@ def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float | np.ndarray:
     """Quantum fidelity ``[Tr sqrt(sqrt(rho1) rho2 sqrt(rho1))]^2``.
 
     For stacks of states it is the fidelity of each pair, as an array; each
-    pair takes the same arithmetic as on its own.
+    pair takes the same arithmetic as on its own. Where ``rho1`` is exactly
+    diagonal (the classical states of ``dqc``), ``sqrt(rho1)`` is ``diag(sqrt
+    p)`` and the product scales the rows and columns of ``rho2``: the bits of
+    the eigendecomposition and the two matrix products, which every other
+    ``rho1`` takes. Either way ``rho1`` must be Hermitian and PSD to
+    ``PSD_TOL``. Eigenvalues of the product below ``-STATE_PSD_TOL``, the drift
+    a state may carry, raise ``ArithmeticError``, and so does a value beyond
+    :func:`~ctqwalk.linalg.fidelity_tol` of [0, 1], the rounding that square
+    roots of near-zero eigenvalues allow; within those bounds both are clipped.
     """
     if rho1.dim != rho2.dim:
         raise ValueError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    root = hermitian_sqrt(rho1.matrix)
-    w = np.linalg.eigvalsh(root @ rho2.matrix @ root)
+    m1, m2 = rho1.matrix, rho2.matrix
+    diag = np.diagonal(m1, axis1=-2, axis2=-1)
+    if np.count_nonzero(m1) == np.count_nonzero(diag):
+        _check_hermitian(m1, stack=True)
+        p = diag.real
+        if p.min() < -PSD_TOL:
+            raise ValueError(f"matrix is not PSD: smallest eigenvalue {p.min():.3e}")
+        root = np.sqrt(np.clip(p, 0.0, None))
+        product = root[..., :, None] * m2 * root[..., None, :]
+    else:
+        root = hermitian_sqrt(m1)
+        product = root @ m2 @ root
+    w = np.linalg.eigvalsh(product)
+    if w.min() < -STATE_PSD_TOL:
+        raise ArithmeticError(f"fidelity operator not PSD (eigenvalue {w.min():.3e})")
     # np.square, not ** 2: a scalar's ** 2 is pow(), which can round apart from a stack's x*x
-    value = np.clip(np.square(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)), 0.0, 1.0)
+    value = np.square(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1))
+    value = _unit_interval(value, "fidelity", fidelity_tol(rho1.dim))
     return float(value) if value.ndim == 0 else value
 
 
@@ -256,12 +280,13 @@ def _start_states(graph: Graph, nodes: Sequence[int]) -> DensityMatrix:
 def _dqc_distances(prop: Propagator, nodes: Sequence[int], starts: DensityMatrix,
                    t: float) -> np.ndarray:
     """``1 - F`` at time t for each start node, whose states ``starts`` holds:
-    one stacked evolution, one classical walk per node, one stacked fidelity."""
+    one stacked evolution, one stacked classical walk (``U e^{-lambda t}``
+    formed once, one matrix-vector product per node), one stacked fidelity
+    on its diagonal route."""
     rho_t = prop.density(starts, t)
     classical = np.zeros(rho_t.matrix.shape, dtype=np.complex128)
     sites = np.arange(prop.graph.n)
-    classical[:, sites, sites] = [classical_propagate(prop.graph, nu, t).probs
-                                  for nu in nodes]
+    classical[:, sites, sites] = classical_propagate(prop.graph, nodes, t).probs
     return 1.0 - fidelity(DensityMatrix(classical), rho_t)
 
 
@@ -282,10 +307,14 @@ def dqc_curve(graph: Graph, model: EvolutionModel,
     """:func:`dqc` at each nonnegative time of a grid, as ``(times, values)``.
 
     One :class:`Propagator` serves the grid. Per time, the states of all n
-    start nodes evolve as one (n, n, n) stack, each node's classical walk is
-    one column of ``e^{-Lt}``, and one stacked fidelity compares them. Each
-    node's arithmetic is the same as :func:`dqc_node` gives it on its own,
-    so the values do not depend on the batching.
+    start nodes evolve as one (n, n, n) stack (under energy dephasing, as
+    outer products of projector columns: the start states are site
+    projectors), each node's classical walk is one column of ``e^{-Lt}``
+    from one ``U e^{-lambda t}``, and one stacked fidelity compares them, on
+    its diagonal route: the classical states are diagonal. Each node's
+    arithmetic is the same as :func:`dqc_node` gives it on its own, so the
+    values do not depend on the batching, and each route keeps the bits of
+    the general one it replaces.
     """
     prop = Propagator(graph, model)
     nodes = range(graph.n)

@@ -1,10 +1,13 @@
 from contextlib import contextmanager
 from unittest import mock
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from ctqwalk import Superoperator
+from ctqwalk import Superoperator, build_graph
 
 
 @pytest.fixture
@@ -22,6 +25,11 @@ def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (a + a.conj().T)
+
+
+def bits(x) -> np.ndarray:
+    """The float64 bit patterns of x, so that equality also tells -0.0 from 0.0."""
+    return np.ascontiguousarray(x).view(np.uint64)
 
 
 def apply_map(sup, x: np.ndarray) -> np.ndarray:
@@ -49,3 +57,17 @@ def forced_pade():
 def expm_steps(spy) -> list[float]:
     """The times of the exponentials an :func:`expm_spy` saw."""
     return [c.args[1] for c in spy.call_args_list]
+
+
+@st.composite
+def connected_graphs(draw, max_sites=7):
+    """A random spanning tree on 2..max_sites sites plus random extra edges."""
+    n = draw(st.integers(2, max_sites))
+    adj = np.zeros((n, n), dtype=int)
+    for k in range(1, n):
+        j = draw(st.integers(0, k - 1))
+        adj[j, k] = adj[k, j] = 1
+    pairs = list(itertools.combinations(range(n), 2))
+    for j, k in draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))):
+        adj[j, k] = adj[k, j] = 1
+    return build_graph("custom", adjacency=adj)

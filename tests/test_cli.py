@@ -1,7 +1,9 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -397,6 +399,46 @@ def test_benchmark_cli_runs_still_parse(tmp_path, monkeypatch, capsys):
             values = sw.values_of(sweep, str(out))
             assert values.shape == (sweep.n_values,) and np.isfinite(values).all()
     capsys.readouterr()
+
+
+# Recomputes every 10th time of each seed-0 dqc sweep (each time is
+# independent) and prints the deviations from reference.json, in a process
+# whose BLAS is pinned to one thread as perfbench/run.py pins it: the
+# site-dephasing eigensolve rounds differently on two threads, which moves
+# dqc by about 5e-9 through its square roots of near-zero eigenvalues.
+_REFERENCE_DQC = """
+import json, sys
+from pathlib import Path
+root = Path(sys.argv[1])
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+import numpy as np
+import ctqwalk, sweeps as sw, verify
+reference = json.loads((root / "perfbench" / "reference.json").read_text())["workloads"]
+graphs = {topo: ctqwalk.build_graph(topo, sw.N_SITES) for topo in sw.TOPOLOGIES}
+errors, checked = [], 0
+for workload, rows in sw.WORKLOADS.items():
+    for sweep in sw.make_sweeps(rows, 0):
+        if sweep.family != "dqc":
+            continue
+        grid = (np.array(sweep.times) if sweep.times
+                else np.linspace(0.0, sweep.tmax, sweep.steps + 1))[::10]
+        values = ctqwalk.dqc_curve(graphs[sweep.topology], sw.model_of(sweep), grid)[1]
+        expected = reference[workload][sweep.key]["values"][::10]
+        errors += verify.compare(values, expected, verify.REFERENCE_TOL, sweep.key)
+        checked += len(grid)
+print(json.dumps({"checked": checked, "errors": errors}))
+"""
+
+
+def test_dqc_meets_the_benchmark_reference():
+    # a change of one ulp in a dqc state shows here as about 1e-8 against the
+    # benchmark's 1e-12, not first in a benchmark run; perfbench is only read
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-B", "-c", _REFERENCE_DQC, str(root)], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"checked": 16 + 16 + 21 + 11 + 6, "errors": []}
 
 
 def test_benchmark_traced_call_sites_are_called(tmp_path, monkeypatch, capsys):

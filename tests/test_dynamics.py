@@ -3,6 +3,8 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctqwalk import (
     ClassicalDistribution,
@@ -22,9 +24,11 @@ from ctqwalk import (
     vectorize_lindblad,
 )
 import ctqwalk.dynamics
-from ctqwalk.dynamics import _exp_grid, _profile_factors, _superop_populations
+from ctqwalk.dynamics import (_energy_sum, _energy_sum_sites, _exp_grid, _profile_factors,
+                              _superop_populations)
 from ctqwalk.linalg import SuperoperatorSizeError, _Modes, hermitian_basis
-from conftest import apply_map, expm_steps, forced_pade, random_density
+from conftest import (apply_map, bits, connected_graphs, expm_steps, forced_pade,
+                      random_density)
 
 
 def _models(gamma=0.8):
@@ -91,6 +95,17 @@ def test_classical_distribution_validation():
         with pytest.raises(ValueError, match="finite"):
             ClassicalDistribution([bad, 1.0])
     assert np.array_equal(ClassicalDistribution([0.25, 0.75]).probs, [0.25, 0.75])
+
+
+def test_classical_distribution_checks_each_row_of_a_stack():
+    stack = ClassicalDistribution([[0.25, 0.75], [1.0, 0.0]])
+    assert stack.dim == 2 and np.array_equal(stack.probs, [[0.25, 0.75], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="sum"):
+        ClassicalDistribution([[0.25, 0.75], [0.5, 0.4]])
+    with pytest.raises(ValueError, match="negative"):
+        ClassicalDistribution([[0.25, 0.75], [1.5, -0.5]])
+    with pytest.raises(ValueError, match="one vector or a stack"):
+        ClassicalDistribution(np.full((1, 2, 2), 0.5))
 
 
 def test_localized_state_examples():
@@ -533,6 +548,76 @@ def test_classical_propagate_rejects_bad_columns_instead_of_clamping():
 def test_classical_node_out_of_range():
     with pytest.raises(ValueError, match="range"):
         classical_propagate(build_graph("cycle", 3), 3, 1.0)
+    with pytest.raises(ValueError, match="node 3 out of range"):
+        classical_propagate(build_graph("cycle", 3), [0, 3, 1], 1.0)
+    with pytest.raises(ValueError, match="node -1 out of range"):
+        classical_propagate(build_graph("cycle", 3), range(-1, 2), 1.0)
+
+
+@pytest.mark.parametrize("topology", ["cycle", "path", "complete"])
+def test_stacked_classical_propagate_is_its_per_node_calls_bit_for_bit(topology):
+    # e^{-lambda t} scales U once per call, but each column keeps its own
+    # matrix-vector product: one product with all columns would round differently
+    g = build_graph(topology, 16)
+    for t in (0.0, 0.125, 1.3, 20.0):
+        stack = classical_propagate(g, range(g.n), t).probs
+        assert stack.shape == (g.n, g.n)
+        assert np.array_equal(bits(stack),
+                              bits([classical_propagate(g, nu, t).probs for nu in range(g.n)]))
+        assert np.array_equal(bits(classical_propagate(g, [5, 2], t).probs), bits(stack[[5, 2]]))
+
+
+# --- energy dephasing from site projectors -----------------------------------
+
+def _assert_outer_form_is_energy_sum(g, gamma, t):
+    spec = g.spectrum
+    projectors, lam = spec.projectors(), spec.group_eigenvalues()
+    nodes = np.arange(g.n)
+    starts = np.zeros((g.n, g.n, g.n), dtype=complex)
+    starts[nodes, nodes, nodes] = 1.0
+    ref = _energy_sum(projectors, lam, gamma, starts, t)
+    assert np.array_equal(bits(_energy_sum_sites(projectors, lam, gamma, nodes, t)), bits(ref))
+    assert np.array_equal(bits(Propagator(g, EvolutionModel.energy_dephasing(gamma))
+                                .evolve_matrix(starts, t)), bits(ref))
+
+
+@pytest.mark.parametrize("topology", ["cycle", "path", "complete"])
+def test_energy_outer_form_is_energy_sum_bit_for_bit(topology):
+    # (P_a |nu><nu|) P_b is the outer product of column nu of P_a with row nu
+    # of P_b; summed in the same (a, b) order it has the double sum's bits,
+    # signs of zero included
+    g = build_graph(topology, 16)
+    for gamma in (0.0, 1.0, 3.7):
+        for t in (0.0, 0.125, 1.3, 20.0):
+            _assert_outer_form_is_energy_sum(g, gamma, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=connected_graphs(max_sites=9), gamma=st.floats(0.0, 5.0), t=st.floats(0.0, 50.0))
+def test_energy_outer_form_is_energy_sum_on_random_graphs(g, gamma, t):
+    _assert_outer_form_is_energy_sum(g, gamma, t)
+
+
+def test_evolve_matrix_takes_the_outer_form_only_for_site_projectors(rng):
+    g = build_graph("cycle", 5)
+    prop = Propagator(g, EvolutionModel.energy_dephasing(0.8))
+    spec = g.spectrum
+    states = np.zeros((3, 5, 5), dtype=complex)
+    states[[0, 1, 2], [4, 0, 4], [4, 0, 4]] = 1.0  # any nodes, repeats too
+    with mock.patch.object(ctqwalk.dynamics, "_energy_sum", wraps=_energy_sum) as energy_sum:
+        stack = prop.evolve_matrix(states, 0.9)
+        one = prop.evolve_matrix(states[1], 0.9)
+        assert energy_sum.call_count == 0
+        ref = _energy_sum(spec.projectors(), spec.group_eigenvalues(), 0.8, states, 0.9)
+        assert np.array_equal(bits(stack), bits(ref)) and np.array_equal(bits(one), bits(ref[1]))
+        # anything else keeps the double sum: a mixed state, a site projector
+        # scaled by a rounding, a real-typed one, and one with a stray -0.0 entry
+        signed = states[0].copy()
+        signed[1, 2] = -0.0
+        others = [random_density(rng, 5), states[0] * (1 + 2 ** -52), states[0].real, signed]
+        for x in others:
+            prop.evolve_matrix(x, 0.9)
+        assert energy_sum.call_count == len(others)
 
 
 def test_times_must_be_finite_and_nonnegative():

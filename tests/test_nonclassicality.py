@@ -40,10 +40,11 @@ from ctqwalk import (
 import ctqwalk.dynamics
 import ctqwalk.nonclassicality
 from ctqwalk.dynamics import _profile_factors, _superop_populations
-from ctqwalk.linalg import _Modes
+from ctqwalk.linalg import STATE_PSD_TOL, _Modes, fidelity_tol, hermitian_sqrt
 from ctqwalk.nonclassicality import (_dqc_distances, _k_from_diagonal, _k_profile, _simpson_mean,
                                      _start_states)
-from conftest import apply_map, expm_spy, expm_steps, forced_pade, random_density
+from conftest import (apply_map, bits, connected_graphs, expm_spy, expm_steps, forced_pade,
+                      random_density)
 
 
 def _two_site_unitary():
@@ -385,22 +386,8 @@ def test_kbar_curve_model_routes_agree(rng):
             assert abs(k - kolmogorov_k(gen, rho0, s, 1.7)) < 1e-10
 
 
-@st.composite
-def _connected_graphs(draw, max_sites=7):
-    """A random spanning tree on 2..max_sites sites plus random extra edges."""
-    n = draw(st.integers(2, max_sites))
-    adj = np.zeros((n, n), dtype=int)
-    for k in range(1, n):
-        j = draw(st.integers(0, k - 1))
-        adj[j, k] = adj[k, j] = 1
-    pairs = list(itertools.combinations(range(n), 2))
-    for j, k in draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))):
-        adj[j, k] = adj[k, j] = 1
-    return build_graph("custom", adjacency=adj)
-
-
 @settings(max_examples=30, deadline=None)
-@given(g=_connected_graphs(), data=st.data())
+@given(g=connected_graphs(), data=st.data())
 def test_routes_agree_on_random_connected_graphs(g, data):
     node = data.draw(st.integers(0, g.n - 1), label="node")
     t = data.draw(st.floats(0.1, 5.0), label="t")
@@ -486,6 +473,85 @@ def test_fidelity_dimension_mismatch(rng):
         fidelity(a, b)
 
 
+def _unchecked(matrix) -> DensityMatrix:
+    """A DensityMatrix holding ``matrix`` without its checks, to reach the
+    checks that ``fidelity`` makes itself."""
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "matrix", np.asarray(matrix, dtype=complex))
+    return rho
+
+
+def _fidelity_by_eigh(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+    """The fidelity's general route for any rho1: eigh square root, two products."""
+    root = hermitian_sqrt(rho1)
+    w = np.linalg.eigvalsh(root @ rho2 @ root)
+    return np.clip(np.square(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("topology", ["cycle", "path", "complete"])
+def test_diagonal_fidelity_is_the_eigh_route_bit_for_bit(topology):
+    # a diagonal rho1 takes sqrt(p) and scales rows and columns; on the dqc
+    # states of the benchmark grids (t = 0 and the small times whose
+    # classical tails clip to 0 included) that gives the general route's bits
+    g = build_graph(topology, 16)
+    nodes = range(g.n)
+    starts = _start_states(g, nodes)
+    sites = np.arange(g.n)
+    for model in (EvolutionModel.unitary(), EvolutionModel.energy_dephasing(1.0),
+                  EvolutionModel.site_dephasing(1.0)):
+        prop = Propagator(g, model)
+        for t in [0.0, 1e-3] + [k * 20.0 / 160 for k in range(1, 161, 23)]:
+            rho_t = prop.density(starts, t)
+            classical = np.zeros(rho_t.matrix.shape, dtype=complex)
+            classical[:, sites, sites] = classical_propagate(g, nodes, t).probs
+            ref = _fidelity_by_eigh(classical, rho_t.matrix)
+            assert np.array_equal(bits(fidelity(DensityMatrix(classical), rho_t)), bits(ref))
+            one = fidelity(DensityMatrix(classical[3]), DensityMatrix(rho_t.matrix[3]))
+            assert np.array_equal(bits(one), bits(ref[3]))
+
+
+def test_diagonal_fidelity_keeps_the_checks_of_the_square_root():
+    rho2 = DensityMatrix(np.eye(3, dtype=complex) / 3)
+    with pytest.raises(ValueError, match="not PSD"):
+        fidelity(_unchecked(np.diag([1.0 + 1e-9, 0.0, -1e-9])), rho2)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        fidelity(_unchecked(np.diag([0.5 + 1e-6j, 0.5, 0.0])), rho2)
+    # within PSD_TOL a negative entry is clipped to zero, as the eigh route clips it
+    edge = np.diag([0.5 + 5e-11, 0.5, -5e-11]).astype(complex)
+    assert fidelity(_unchecked(edge), rho2) == _fidelity_by_eigh(edge, rho2.matrix)
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_fidelity_raises_instead_of_clipping_far_out_of_range(rng, diagonal):
+    rho1 = np.eye(4, dtype=complex) / 4 if diagonal else random_density(rng, 4)
+    # an eigenvalue of sqrt(rho1) rho2 sqrt(rho1) far below -STATE_PSD_TOL
+    w, u = np.linalg.eigh(random_density(rng, 4))
+    w[0] = -100 * STATE_PSD_TOL
+    negative = _unchecked((u * (w / w.sum())) @ u.conj().T)
+    with pytest.raises(ArithmeticError, match="not PSD"):
+        fidelity(DensityMatrix(rho1), negative)
+    # a value past 1 by more than the square roots' rounding allows
+    heavy = _unchecked(rho1 * (1 + 10 * fidelity_tol(4)))
+    with pytest.raises(ArithmeticError, match=r"fidelity leaves \[0, 1\]"):
+        fidelity(heavy, DensityMatrix(rho1))
+    # inside both bounds the values are clipped as before
+    assert fidelity(DensityMatrix(rho1), DensityMatrix(rho1)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fidelity_bound_covers_the_square_root_floor():
+    # at t = 0 the unitary states' near-zero eigenvalues are rounding noise, and
+    # their square roots carry the fidelity past 1 by about 3e-8 on 16 sites
+    g = build_graph("cycle", 16)
+    rho = Propagator(g, EvolutionModel.unitary()).density(_start_states(g, range(16)), 0.0)
+    p = classical_propagate(g, range(16), 0.0).probs
+    root = np.sqrt(p)
+    w = np.linalg.eigvalsh(root[:, :, None] * rho.matrix * root[:, None, :])
+    raw = np.square(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1))
+    assert 1e-9 < raw.max() - 1.0 < fidelity_tol(16)
+    classical = DensityMatrix(np.array([np.diag(q) for q in p]).astype(complex))
+    assert np.array_equal(fidelity(classical, rho), np.minimum(raw, 1.0))
+
+
 def test_dqc_zero_at_t0():
     g = build_graph("complete", 4)
     for model in (EvolutionModel.unitary(), EvolutionModel.site_dephasing(1.0)):
@@ -559,7 +625,7 @@ def _dqc_dense_expm(g, model, times):
 
 
 @settings(max_examples=25, deadline=None)
-@given(g=_connected_graphs(), data=st.data())
+@given(g=connected_graphs(), data=st.data())
 def test_batched_dqc_matches_one_state_at_a_time(g, data):
     # the batched dqc_curve takes each node's arithmetic unchanged, so it is
     # bitwise the loop over 2-D states, on every route; a dense expm agrees
@@ -579,6 +645,49 @@ def test_batched_dqc_matches_one_state_at_a_time(g, data):
         pade = dqc_curve(g, models[2], times)[1]
         assert np.array_equal(pade, _dqc_one_state_at_a_time(g, models[2], times))
     assert np.abs(pade - _dqc_dense_expm(g, models[2], times)).max() < 1e-6
+
+
+def test_energy_dqc_takes_the_outer_form_not_the_double_sum():
+    # dqc's start states are site projectors, so its energy-dephasing states
+    # never run _energy_sum's 2 G^2 products; the closed form, criterion 8's
+    # independent oracle, still does
+    g = build_graph("cycle", 6)
+    model = EvolutionModel.energy_dephasing(0.9)
+    energy_sum = ctqwalk.dynamics._energy_sum
+    with mock.patch.object(ctqwalk.dynamics, "_energy_sum", wraps=energy_sum) as spy:
+        values = dqc_curve(g, model, [0.0, 0.4, 3.0])[1]
+        dqc_node(g, model, 2, 0.4)
+        assert spy.call_count == 0
+        ctqwalk.propagate_energy_closed_form(g, 0.9, localized_state(g, 2), 0.4)
+        assert spy.call_count == 1
+    assert np.array_equal(values, _dqc_one_state_at_a_time(g, model, [0.0, 0.4, 3.0]))
+
+
+#: the square-root floor that dqc's fidelity route meets today on 12 sites (1e-8
+#: and below): ROADMAP item 2's closed forms are to tighten these limits to 1e-12
+_DQC_FLOOR = 2e-8
+
+
+@pytest.mark.parametrize("topology", ["cycle", "complete", "path"])
+def test_dqc_long_time_limits(topology):
+    # unitary: the classical walk tends to I/N and F(I/N, pure) = 1/N;
+    # energy dephasing: rho tends to sum_a P_a rho0 P_a, whose eigenvalues are
+    # <nu|P_a|nu>; site dephasing: both tend to I/N
+    g = build_graph(topology, 12)
+    n, spec, gamma = g.n, g.spectrum, 1.0
+    lam = spec.group_eigenvalues()
+    t_classical = 25.0 / lam[1]
+    t_energy = max(t_classical, 25.0 / (0.5 * gamma * np.diff(lam).min() ** 2))
+    mu = ctqwalk.spectral_gap(make_generator(g, EvolutionModel.site_dephasing(gamma))).value
+    t_site = max(t_classical, 25.0 / mu)
+    overlap = max(sum(np.sqrt(p[nu, nu].real) for p in spec.projectors()) for nu in range(n))
+    cases = [(EvolutionModel.unitary(), t_classical, 1.0 - 1.0 / n),
+             (EvolutionModel.energy_dephasing(gamma), t_energy, 1.0 - overlap ** 2 / n),
+             (EvolutionModel.site_dephasing(gamma), t_site, 0.0)]
+    # (complete-12's computed zero eigenvalue, -4.7e-15, makes its classical
+    # walk sum past 1 + PROB_TOL after t = 215; t_site is 150 there)
+    for model, t, limit in cases:
+        assert abs(dqc(g, model, t) - limit) < _DQC_FLOOR, model.kind
 
 
 def _complete_sector_generator(n: int):
